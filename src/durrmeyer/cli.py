@@ -26,19 +26,15 @@ from dataclasses import dataclass, field
 
 from . import harness
 from .harness import CheckReport, CheckRow
-from .kfunc import k_exact_p2, k_lower, k_upper_detail
+from .kfunc import k_lower, k_upper_detail
 from .spectrum import DegeneracyError, WeightConfig
-from .suite import DEFAULT_SEED, get_suite
+from .suite import DEFAULT_SEED, INTERVAL_ONLY_SUITES, get_suite
 
 COMMANDS = ("verify-lemmas", "verify-direct", "verify-converse",
             "verify-proposition", "kfunc", "norms", "report-all")
 
 CSV_COLUMNS = ("check_id", "d", "alphas", "rho", "p", "n", "ell_or_tau",
                "f_id", "lhs", "rhs", "margin", "empirical_constant", "passed")
-
-# suites whose members only make sense on the interval
-_INTERVAL_ONLY_SUITES = ("poly", "kink", "full", "smoke")
-
 
 class ConfigError(ValueError):
     pass
@@ -93,7 +89,7 @@ class RunConfig:
             raise ConfigError("format must be csv or json")
         if self.suite not in ("full", "poly", "eig", "kink", "smoke"):
             raise ConfigError("unknown suite %r" % self.suite)
-        if (self.d == 2 and self.suite in _INTERVAL_ONLY_SUITES
+        if (self.d == 2 and self.suite in INTERVAL_ONLY_SUITES
                 and self.command in ("verify-direct", "verify-converse", "kfunc")):
             raise ConfigError("suite %r contains interval-only functions; "
                               "with d = 2 use --suite eig" % self.suite)
@@ -292,17 +288,14 @@ def _run_kfunc(cfg: RunConfig):
     for f in get_suite(cfg.suite, weight, cfg.seed):
         fc = harness.FunctionContext(weight, f, band=band)
         for p in cfg.ps:
-            for n in ns:
+            exacts = fc.kvalues(ns, p) if p == 2 else [None] * len(ns)
+            for n, exact in zip(ns, exacts):
                 try:
                     lower = k_lower(weight, fc.coeffs, n, p, ctx=fc.ctx)
                 except ValueError:
                     lower = 0.0  # operator band too small: K >= 0 still holds
                 upper, _ = k_upper_detail(weight, fc.coeffs, 1.0 / n, p,
                                           ctx=fc.ctx)
-                exact = None
-                if p == 2:
-                    exact = k_exact_p2(weight, fc.coeffs, 1.0 / n,
-                                       tail_norm=fc.ctx.tail_norm)
                 scale = max(upper, 1e-300)
                 if exact is None:
                     margin = (upper - lower) / scale + slack

@@ -23,8 +23,8 @@ from scipy.integrate import quad
 from . import kfunc
 from .operators import (apply_durrmeyer, apply_durrmeyer_spectral, apply_P_spectral,
                         apply_Q, build_g_n, make_plan)
-from .orthopoly import (SpectralCoefficients, basis_eval, cesaro_factors,
-                        cesaro_mean, get_basis, partial_sum, project)
+from .orthopoly import (SpectralCoefficients, cesaro_factors, cesaro_mean,
+                        default_band, get_basis, partial_sum, project)
 from .spectrum import (WeightConfig, config_for_rho, eigenvalue_mu, log_mu_all,
                        log_nu_all, multiplier_nu_all, nu_second)
 from .suite import DEFAULT_SEED, get_suite
@@ -167,16 +167,24 @@ def _check_l1_xi(rhos, n_max, t0):
     [n - ell(ell+rho+1)], compared through signs and log magnitudes."""
     from .specfun import log_gamma
 
+    # log_gamma is elementwise, so one table over the arguments n - ell
+    # (1..n_max-1) and one per rho over n + ell (4..2 n_max - 1) give the
+    # same values as calls on each n's slice
+    low = log_gamma(np.arange(1.0, n_max))
+    sums = np.arange(4.0, 2 * n_max)
     rows = []
     for rho in rhos:
         cfg = config_for_rho(rho)
+        high = log_gamma(sums + rho + 1.0)
         worst = (math.inf, None, None, None, None)
         for n in range(3, n_max + 1):
             ell = np.arange(1, n, dtype=float)
             bracket = n - ell * (ell + rho + 1.0)
             sign = np.sign(bracket)
             with np.errstate(divide="ignore"):
-                logmag = (log_gamma(n - ell) + log_gamma(n + ell + rho + 1.0)
+                # low[n-2::-1] is log_gamma(n - ell), high[n-3:2n-4] is
+                # log_gamma(n + ell + rho + 1)
+                logmag = (low[n - 2::-1] + high[n - 3:2 * n - 4]
                           + np.log(np.abs(bracket)))
             sa, sb = sign[:-1], sign[1:]
             la, lb = logmag[:-1], logmag[1:]
@@ -485,17 +493,19 @@ class FunctionContext:
         """||M_n f - f||_p."""
         return self.ctx.norm_diff(apply_durrmeyer_spectral(self.cfg, n, self.coeffs), p)
 
-    def kvalue(self, t, p):
-        """Exact banded K at p = 2, candidate upper bound otherwise."""
+    def kvalues(self, ns, p):
+        """K(f, 1/n)_p for each n: the exact banded K at p = 2, all n in one
+        batched search; the candidate upper bound otherwise."""
+        ts = [1.0 / n for n in ns]
         if p == 2:
-            return kfunc.k_exact_p2(self.cfg, self.coeffs, t,
-                                    tail_norm=self.ctx.tail_norm)
-        return kfunc.k_upper(self.cfg, self.coeffs, t, p, ctx=self.ctx)
+            return kfunc.k_exact_p2(self.cfg, self.coeffs, ts,
+                                    tail_norm=self.ctx.tail_norm).tolist()
+        return [kfunc.k_upper(self.cfg, self.coeffs, t, p, ctx=self.ctx) for t in ts]
 
 
-def _direct_row(fc: FunctionContext, p, n):
+def _direct_row(fc: FunctionContext, p, n, kval):
     lhs = fc.op_error(n, p)
-    rhs = 2.0 * fc.kvalue(1.0 / n, p)
+    rhs = 2.0 * kval
     margin = _rel_margin(lhs, rhs)
     # observed error-to-K ratio; the estimate asserts it never exceeds 2
     ratio = lhs / max(0.5 * rhs, 1e-300) if rhs > 0.0 else 0.0
@@ -508,7 +518,7 @@ def _direct_row(fc: FunctionContext, p, n):
 def verify_direct(cfg, f, p, n, fc=None) -> CheckReport:
     t0 = time.perf_counter()
     fc = fc or FunctionContext(cfg, f)
-    row = _direct_row(fc, p, n)
+    row = _direct_row(fc, p, n, fc.kvalues([n], p)[0])
     return _finish("DIRECT", "single function %s, p=%s, n=%d" % (f.f_id, p, n),
                    [row], t0)
 
@@ -520,20 +530,21 @@ def run_direct(cfg=None, ps=(1, 2, math.inf), ns=(4, 8, 16, 32, 64),
     rows = []
     for f in get_suite(suite_name, cfg, seed):
         fc = FunctionContext(cfg, f, band=band)
-        for n in ns:
+        kvals = {p: fc.kvalues(ns, p) for p in ps}
+        for i, n in enumerate(ns):
             for p in ps:
-                rows.append(_direct_row(fc, p, n))
+                rows.append(_direct_row(fc, p, n, kvals[p][i]))
     grid = "suite=%s, p in %s, n in %s, seed=%d" % (
         suite_name, [str(p) for p in ps], list(ns), seed)
     return _finish("DIRECT", grid, rows, t0)
 
 
-def _theorem1_rows(fc: FunctionContext, p, n):
+def _theorem1_rows(fc: FunctionContext, p, n, lhs):
+    """Rows for K(f, 1/n)_p = lhs against the converse-estimate bounds."""
     cfg = fc.cfg
     rho = cfg.rho
     errs = {k: fc.op_error(k, p) for k in range(n, 2 * n + 1)}
     tail = (4.0 / n) * sum(errs[k] for k in range(n + 1, 2 * n + 1))
-    lhs = fc.kvalue(1.0 / n, p)
     out = []
     rhs = (4.0 + 2.0 * rho / n) * (errs[n] + errs[2 * n]) + tail
     margin = _rel_margin(lhs, rhs)
@@ -557,7 +568,7 @@ def _theorem1_rows(fc: FunctionContext, p, n):
 def verify_theorem1(cfg, f, p, n, fc=None) -> CheckReport:
     t0 = time.perf_counter()
     fc = fc or FunctionContext(cfg, f)
-    rows = _theorem1_rows(fc, p, n)
+    rows = _theorem1_rows(fc, p, n, fc.kvalues([n], p)[0])
     return _finish("THM1", "single function %s, p=%s, n=%d" % (f.f_id, p, n),
                    rows, t0)
 
@@ -574,9 +585,10 @@ def run_theorem1(cfg=None, ps=(1, 2, math.inf), ns=(4, 8, 16, 32),
     rows = []
     for f in get_suite(suite_name, cfg, seed):
         fc = FunctionContext(cfg, f, band=band)
-        for n in ns:
+        kvals = {p: fc.kvalues(ns, p) for p in ps}
+        for i, n in enumerate(ns):
             for p in ps:
-                rows.extend(_theorem1_rows(fc, p, n))
+                rows.extend(_theorem1_rows(fc, p, n, kvals[p][i]))
     grid = ("suite=%s, p in %s (asserted at p=2 only), n in %s, seed=%d") % (
         suite_name, [str(p) for p in ps], list(ns), seed)
     return _finish("THM1", grid, rows, t0)
@@ -601,10 +613,11 @@ def run_proposition(ps=(2,), ns=(8, 16, 32, 64, 128), suite_name="full",
     rows = []
     for f in get_suite(suite_name, cfg, seed):
         fc = FunctionContext(cfg, f, band=band)
-        for n in ns:
+        kvals = {p: fc.kvalues(ns, p) for p in ps}
+        for i, n in enumerate(ns):
             for p in ps:
                 err = fc.op_error(n, p)
-                kval = fc.kvalue(1.0 / n, p)
+                kval = kvals[p][i]
                 if err < 1e-14 and kval < 1e-14:
                     rows.append(CheckRow("PROP", d=1, alphas=cfg.alphas, rho=cfg.rho,
                                          p=p, n=n, f_id=fc.f.f_id, lhs=kval,
@@ -709,12 +722,15 @@ def verify_eigenstructure(tol=1e-8) -> CheckReport:
     rows = []
     for cfg, n_max, ell_max in cases:
         worst = (-math.inf, None, None)
+        # the table basis_eval reads phi_{ell,j} from, evaluated once per plan
+        basis = get_basis(cfg, max(ell_max, default_band(cfg)))
         for n in range(2, n_max + 1):
             plan = make_plan(cfg, n, f_degree=ell_max)
             nodes = plan.rule.nodes
+            phis = basis.eval_all(nodes)
             for ell in range(0, min(ell_max, n) + 1):
                 for j in range(ell + 1 if cfg.d == 2 else 1):
-                    phi = basis_eval(cfg, ell, j, nodes)
+                    phi = phis[:, basis.flat_index(ell, j)]
                     got = apply_durrmeyer(plan, lambda x, v=phi: v, nodes)
                     want = eigenvalue_mu(cfg, n, ell) * phi
                     err = float(np.max(np.abs(got - want)))
@@ -805,12 +821,11 @@ def verify_kfunc_closed_form(tol=1e-8) -> CheckReport:
             flat = np.zeros(ell + 1)
             flat[ell] = 1.0
             f = SpectralCoefficients.from_flat(cfg, flat)
-            for t in ts:
-                got = kfunc.k_exact_p2(cfg, f, float(t))
-                want = min(1.0, float(t) * ell * (ell + rho))
-                err = abs(got - want)
-                if err > worst[0]:
-                    worst = (err, ell, float(t))
+            got = kfunc.k_exact_p2(cfg, f, ts)
+            errs = np.abs(got - np.minimum(1.0, ts * ell * (ell + rho)))
+            i = int(np.argmax(errs))
+            if errs[i] > worst[0]:
+                worst = (float(errs[i]), ell, float(ts[i]))
         err, ell, t = worst
         rows.append(CheckRow("KCLOSED", d=1, alphas=cfg.alphas, rho=rho,
                              ell_or_tau=ell, empirical_constant=err,
@@ -856,10 +871,9 @@ def verify_bracket(ns=(4, 16, 64), seed=DEFAULT_SEED) -> CheckReport:
     rows = []
     for f in get_suite("full", cfg, seed):
         fc = FunctionContext(cfg, f)
-        for n in ns:
+        exacts = fc.kvalues(ns, 2)
+        for n, exact in zip(ns, exacts):
             lower = kfunc.k_lower(cfg, fc.coeffs, n, 2, ctx=fc.ctx)
-            exact = kfunc.k_exact_p2(cfg, fc.coeffs, 1.0 / n,
-                                     tail_norm=fc.ctx.tail_norm)
             upper = kfunc.k_upper(cfg, fc.coeffs, 1.0 / n, 2, ctx=fc.ctx)
             scale = max(exact, upper, 1e-300)
             margin = min((exact - lower) / scale + slack,

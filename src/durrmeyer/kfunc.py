@@ -23,6 +23,11 @@ from .quadrature import interval_rule, lp_norm, simplex_rule_2d, sup_grid, sup_g
 from .spectrum import WeightConfig
 
 _LAM2_GRID = np.exp(np.linspace(np.log(1e-18), np.log(1e18), 481))
+# The search takes logs and exps with math.log / math.exp, never np.log /
+# np.exp: numpy's SIMD versions differ from them in the last bit for some
+# arguments, and the K values (and the report-all output built on them) are
+# kept bit-identical to the one-t-per-call search.
+_LOG_LAM2_GRID = np.array([math.log(v) for v in _LAM2_GRID])
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -46,54 +51,81 @@ def _lambda_factors(cfg: WeightConfig, L) -> np.ndarray:
     return ell * (ell + cfg.rho)
 
 
-def _p2_value(b, lam, t, tail2, lam2):
+def _p2_value(b, lam, lam_sq, t, tail2, lam2):
     """Objective sqrt(|f-g|^2 + tail^2) + t |P g| at the diagonal shrinkage
-    point g = b / (1 + lam2 * lam^2); vectorized over lam2."""
-    lam2 = np.atleast_1d(np.asarray(lam2, dtype=float))
-    shrink = 1.0 / (1.0 + np.outer(lam2, lam * lam))
-    resid = b * (1.0 - shrink)
-    fid = np.sqrt((resid * resid).sum(axis=1) + tail2)
-    rough = np.sqrt(((lam * (b * shrink)) ** 2).sum(axis=1))
-    return fid + t * rough
+    points g = b / (1 + lam2 * lam^2), one per lam2; t broadcasts against
+    them."""
+    shrink = np.multiply.outer(lam2, lam_sq)
+    shrink += 1.0
+    np.divide(1.0, shrink, out=shrink)
+    resid = 1.0 - shrink
+    resid *= b
+    resid *= resid
+    fid = np.sqrt(resid.sum(axis=1) + tail2)
+    shrink *= b
+    shrink *= lam
+    shrink *= shrink
+    return fid + t * np.sqrt(shrink.sum(axis=1))
 
 
-def k_exact_p2(cfg: WeightConfig, f: SpectralCoefficients, t, tail_norm=0.0) -> float:
+def _exp(xs):
+    return np.array([math.exp(v) for v in xs])
+
+
+def k_exact_p2(cfg: WeightConfig, f: SpectralCoefficients, t, tail_norm=0.0):
     """min over g of ||f - g||_2 + t ||P g||_2, over the band of f.
 
     The one-parameter family g(s) = f_ell / (1 + s lambda_ell^2) traces the
     Pareto frontier of the two norms; a log-grid sweep plus golden-section
-    refinement locates the minimizing s deterministically.
+    refinement locates the minimizing s deterministically.  t may be a
+    scalar (returns a float) or an array (returns an array of its shape):
+    the searches for all t run in lockstep, one objective evaluation per
+    step for every t, and each gives the value of a call with that t alone.
     """
-    t = float(t)
-    if t < 0.0:
+    t_arr = np.array(t, dtype=float)
+    if np.any(t_arr < 0.0):
         raise ValueError("t must be >= 0")
+    ts = t_arr.reshape(-1)
     tail2 = float(tail_norm) ** 2
     b = f.block_norms()
     lam = _lambda_factors(cfg, f.max_degree)
-    values = _p2_value(b, lam, t, tail2, _LAM2_GRID)
-    i = int(np.argmin(values))
-    best = float(values[i])
-    lo = math.log(_LAM2_GRID[max(i - 1, 0)])
-    hi = math.log(_LAM2_GRID[min(i + 1, _LAM2_GRID.size - 1)])
+    lam_sq = lam * lam
+    values = _p2_value(b, lam, lam_sq, ts[:, None], tail2, _LAM2_GRID)
+    i = np.argmin(values, axis=1)
+    best = values[np.arange(ts.size), i]
+    lo = _LOG_LAM2_GRID[np.maximum(i - 1, 0)]
+    hi = _LOG_LAM2_GRID[np.minimum(i + 1, _LAM2_GRID.size - 1)]
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
-    f1 = float(_p2_value(b, lam, t, tail2, math.exp(x1))[0])
-    f2 = float(_p2_value(b, lam, t, tail2, math.exp(x2))[0])
+    f1 = _p2_value(b, lam, lam_sq, ts, tail2, _exp(x1))
+    f2 = _p2_value(b, lam, lam_sq, ts, tail2, _exp(x2))
+    # Per-t search state [lo, x1, x2, hi, f1, f2] in Python floats: on
+    # arrays of a few dozen entries numpy's per-call cost exceeds this
+    # bookkeeping, while the objective is evaluated for all t at once.
+    state = [list(row) for row in zip(lo.tolist(), x1.tolist(), x2.tolist(),
+                                      hi.tolist(), f1.tolist(), f2.tolist())]
     for _ in range(72):
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = float(_p2_value(b, lam, t, tail2, math.exp(x1))[0])
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = float(_p2_value(b, lam, t, tail2, math.exp(x2))[0])
-    best = min(best, f1, f2)
+        moves = []
+        for row in state:
+            lo, x1, x2, hi, f1, f2 = row
+            if f1 <= f2:
+                # keep [lo, x2]; x1 becomes its upper interior point
+                row[:] = lo, None, x1, x2, None, f1
+                moves.append((1, x2 - _GOLDEN * (x2 - lo)))
+            else:
+                # keep [x1, hi]; x2 becomes its lower interior point
+                row[:] = x1, x2, None, hi, f2, None
+                moves.append((2, x1 + _GOLDEN * (hi - x1)))
+        f_new = _p2_value(b, lam, lam_sq, ts, tail2, _exp([x for _, x in moves]))
+        for row, (slot, x), fx in zip(state, moves, f_new.tolist()):
+            row[slot], row[slot + 3] = x, fx
+    best = np.minimum(best, [min(row[4], row[5]) for row in state])
     # limits of the family: keep f (all fidelity in the tail) or keep only
     # the constant block (no roughness)
-    keep_f = math.sqrt(tail2) + t * float(np.sqrt(((lam * b) ** 2).sum()))
+    keep_f = math.sqrt(tail2) + ts * float(np.sqrt(((lam * b) ** 2).sum()))
     keep_mean = math.sqrt(float((b[1:] * b[1:]).sum()) + tail2)
-    return min(best, keep_f, keep_mean)
+    out = np.minimum(np.minimum(best, keep_f), keep_mean)
+    return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
 
 
 def sup_points(cfg: WeightConfig, kinks=()):

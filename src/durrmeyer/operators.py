@@ -165,11 +165,14 @@ def make_plan(cfg: WeightConfig, n, f_degree=None, splits=()) -> DurrmeyerPlan:
 
 def apply_durrmeyer(plan: DurrmeyerPlan, f, x):
     """Basis-form operator value at x: sum of p_{n,k}(x) times the weighted
-    average of f against p_{n,k} w_alpha."""
+    average of f against p_{n,k} w_alpha.  At the plan's own nodes (x is
+    plan.rule.nodes) the stored Bernstein values are reused."""
     fvals = np.asarray(f(plan.rule.nodes), dtype=float)
     if fvals.shape != (plan.rule.weights.size,):
         raise ValueError("f must return one value per quadrature node")
     averages = (plan.basis_at_nodes @ (plan.rule.weights * fvals)) / plan.moments
+    if x is plan.rule.nodes:
+        return averages @ plan.basis_at_nodes
     pts, single = _point_matrix(plan.cfg.d, x)
     out = averages @ _bernstein_matrix(plan.n, plan.indices, pts)
     return float(out[0]) if single else out

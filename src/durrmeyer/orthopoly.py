@@ -14,7 +14,8 @@ by 1 - x1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,82 +34,87 @@ def block_size(cfg: WeightConfig, ell) -> int:
     return 1 if cfg.d == 1 else ell + 1
 
 
-@dataclass(frozen=True)
+def _block_offsets(cfg: WeightConfig, size) -> np.ndarray:
+    """Start of each degree block in a flat vector of the given length, plus
+    the length itself; raises if the length does not fill whole blocks."""
+    if size == 0:
+        raise ValueError("need at least the degree-0 block")
+    if cfg.d == 1:
+        return np.arange(size + 1)
+    L = (math.isqrt(8 * size + 1) - 3) // 2
+    if (L + 1) * (L + 2) // 2 != size:
+        raise ValueError("flat vector length does not fill block %d" % (L + 1))
+    ell = np.arange(L + 2)
+    return ell * (ell + 1) // 2
+
+
+@dataclass(frozen=True, eq=False)
 class SpectralCoefficients:
     """Coefficients of a function against the orthonormal degree basis.
 
-    blocks[ell] holds the degree-ell coefficients: one number for d = 1,
-    ell + 1 numbers for d = 2.  Instances are immutable; arithmetic returns
-    new objects and requires matching weight config and band.
+    values holds the degree blocks one after another, block ell at
+    values[offsets[ell]:offsets[ell + 1]]: one number for d = 1, ell + 1
+    numbers for d = 2.  Instances are immutable (values is read-only);
+    arithmetic returns new objects and requires matching weight config and
+    band.
     """
 
     cfg: WeightConfig
-    blocks: tuple
+    values: np.ndarray
+    offsets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        cleaned = []
-        for ell, block in enumerate(self.blocks):
-            arr = np.array(block, dtype=float, copy=True).reshape(-1)
-            if arr.shape[0] != block_size(self.cfg, ell):
-                raise ValueError(
-                    "block %d must have %d entries, got %d"
-                    % (ell, block_size(self.cfg, ell), arr.shape[0]))
-            arr.flags.writeable = False
-            cleaned.append(arr)
-        if not cleaned:
-            raise ValueError("need at least the degree-0 block")
-        object.__setattr__(self, "blocks", tuple(cleaned))
+        values = np.array(self.values, dtype=float).reshape(-1)
+        offsets = _block_offsets(self.cfg, values.size)
+        values.flags.writeable = False
+        offsets.flags.writeable = False
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "offsets", offsets)
 
     @property
     def max_degree(self) -> int:
-        return len(self.blocks) - 1
+        return self.offsets.size - 2
+
+    @property
+    def blocks(self) -> tuple:
+        """Read-only view of each degree block."""
+        return tuple(np.split(self.values, self.offsets[1:-1]))
 
     @classmethod
     def zeros(cls, cfg, L):
-        return cls(cfg, tuple(np.zeros(block_size(cfg, ell))
-                              for ell in range(L + 1)))
+        return cls(cfg, np.zeros(sum(block_size(cfg, ell) for ell in range(L + 1))))
 
     @classmethod
     def from_flat(cls, cfg, values):
-        """Rebuild blocks from a flat vector ordered by degree."""
-        values = np.asarray(values, dtype=float).reshape(-1)
-        blocks, pos, ell = [], 0, 0
-        while pos < values.size:
-            size = block_size(cfg, ell)
-            if pos + size > values.size:
-                raise ValueError("flat vector length does not fill block %d" % ell)
-            blocks.append(values[pos:pos + size])
-            pos += size
-            ell += 1
-        return cls(cfg, tuple(blocks))
+        """Coefficients from a flat vector ordered by degree."""
+        return cls(cfg, values)
 
     def flat(self) -> np.ndarray:
-        return np.concatenate(self.blocks)
+        """The flat coefficient vector (read-only)."""
+        return self.values
 
     def block_norms(self) -> np.ndarray:
         """Euclidean norm of each degree block."""
-        return np.array([np.sqrt(np.dot(b, b)) for b in self.blocks])
+        return np.sqrt(np.add.reduceat(self.values * self.values, self.offsets[:-1]))
 
     def norm2(self) -> float:
         """L2 norm against the weight, by Parseval."""
-        flat = self.flat()
-        return float(np.sqrt(np.dot(flat, flat)))
+        return float(np.sqrt(np.dot(self.values, self.values)))
 
     def scaled(self, factors) -> "SpectralCoefficients":
         """Multiply block ell by factors[ell]."""
         factors = np.asarray(factors, dtype=float)
-        if factors.shape != (len(self.blocks),):
+        if factors.shape != (self.max_degree + 1,):
             raise ValueError("need one factor per block")
         return SpectralCoefficients(
-            self.cfg, tuple(f * b for f, b in zip(factors, self.blocks)))
+            self.cfg, np.repeat(factors, np.diff(self.offsets)) * self.values)
 
     def _binary(self, other, op):
         if not isinstance(other, SpectralCoefficients):
             return NotImplemented
         if other.cfg != self.cfg or other.max_degree != self.max_degree:
             raise ValueError("operands differ in weight config or band")
-        return SpectralCoefficients(
-            self.cfg, tuple(op(a, b) for a, b in zip(self.blocks, other.blocks)))
+        return SpectralCoefficients(self.cfg, op(self.values, other.values))
 
     def __add__(self, other):
         return self._binary(other, np.add)
@@ -117,8 +123,7 @@ class SpectralCoefficients:
         return self._binary(other, np.subtract)
 
     def __mul__(self, scalar):
-        scalar = float(scalar)
-        return SpectralCoefficients(self.cfg, tuple(scalar * b for b in self.blocks))
+        return SpectralCoefficients(self.cfg, float(scalar) * self.values)
 
     __rmul__ = __mul__
 
@@ -131,22 +136,29 @@ def _stieltjes_recurrence(nodes, weights, L):
 
     Returns (a, b) with b[0] the total mass; exact when the quadrature
     integrates degree 2L+1.
+
+    The sweep carries q_k = 4^k p_k instead of the monic p_k: on [0, 1] the
+    squared norm of p_k falls like 16^-k and leaves the normal range near
+    k = 256, while q_k stays of order one.  Every rescaling is by a power of
+    two, so wherever the monic sweep stays clear of subnormals the
+    coefficients agree with it bit for bit.
     """
     a = np.empty(L + 1)
     b = np.empty(L + 1)
-    p_prev = np.zeros_like(nodes)
-    p_cur = np.ones_like(nodes)
+    q_prev = np.zeros_like(nodes)
+    q_cur = np.ones_like(nodes)
     norm_prev = 1.0
     for k in range(L + 1):
-        norm_cur = np.dot(weights, p_cur * p_cur)
-        if norm_cur <= 0.0:
+        norm_cur = np.dot(weights, q_cur * q_cur)
+        if not norm_cur > 0.0:
             raise ArithmeticError("lost positivity in Stieltjes sweep at k=%d" % k)
-        a[k] = np.dot(weights, nodes * p_cur * p_cur) / norm_cur
-        b[k] = norm_cur if k == 0 else norm_cur / norm_prev
-        p_next = (nodes - a[k]) * p_cur
+        a[k] = np.dot(weights, nodes * q_cur * q_cur) / norm_cur
+        b[k] = norm_cur if k == 0 else norm_cur / norm_prev / 16.0
+        q_next = (nodes - a[k]) * q_cur
         if k > 0:
-            p_next -= b[k] * p_prev
-        p_prev, p_cur, norm_prev = p_cur, p_next, norm_cur
+            q_next -= (4.0 * b[k]) * q_prev
+        q_next *= 4.0
+        q_prev, q_cur, norm_prev = q_cur, q_next, norm_cur
     return a, b
 
 

@@ -76,8 +76,16 @@ def kink_suite():
     ]
 
 
+# suites with members defined on the interval only
+INTERVAL_ONLY_SUITES = ("poly", "kink", "full", "smoke")
+
+
 def get_suite(name, cfg: WeightConfig, seed=DEFAULT_SEED):
-    """Suite by name: full, poly, eig, kink, or smoke (small cross-section)."""
+    """Suite by name: full, poly, eig, kink, or smoke (small cross-section).
+    Only eig has members on the triangle."""
+    if cfg.d != 1 and name in INTERVAL_ONLY_SUITES:
+        raise ValueError("suite %r contains interval-only functions; with d = %d "
+                         "use the eig suite" % (name, cfg.d))
     if name == "poly":
         return polynomial_suite(seed)
     if name == "eig":

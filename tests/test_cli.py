@@ -181,3 +181,11 @@ def test_n_range_construction():
 def test_command_list_is_complete():
     assert COMMANDS == ("verify-lemmas", "verify-direct", "verify-converse",
                         "verify-proposition", "kfunc", "norms", "report-all")
+
+
+def test_verify_direct_at_band_512(tmp_path):
+    # kink functions are projected at the band max(64, n-stop)
+    rc = run_main(["--command", "verify-direct", "--suite", "kink",
+                   "--n-start", "512", "--n-stop", "512",
+                   "--out", str(tmp_path / "direct.csv")])
+    assert rc == 0

@@ -17,6 +17,7 @@ from durrmeyer import (
     c_n,
     eigenvalue_mu,
     estimate_operator_norm,
+    run_direct,
     verify_bracket,
     verify_cesaro_contraction,
     verify_direct,
@@ -30,7 +31,8 @@ from durrmeyer.harness import (
     _rel_margin,
     _stabilization,
 )
-from durrmeyer.suite import eigenfunction_suite
+from durrmeyer.specfun import log_gamma
+from durrmeyer.suite import eigenfunction_suite, get_suite
 
 
 def test_every_lemma_check_passes():
@@ -155,3 +157,48 @@ def test_report_empirical_fallback():
     assert rep.empirical_constant == 1.5
     assert rep.passed
     assert rep.worst_margin is None or isinstance(rep.worst_margin, float)
+
+
+def _l1_xi_scan(rho, n_max):
+    """Worst (margin, n, ell, lhs, rhs) of L1-xi with log_gamma called on
+    each n's arguments, the reference for the check's log_gamma tables."""
+    worst = (math.inf, None, None, None, None)
+    for n in range(3, n_max + 1):
+        ell = np.arange(1, n, dtype=float)
+        bracket = n - ell * (ell + rho + 1.0)
+        sign = np.sign(bracket)
+        with np.errstate(divide="ignore"):
+            logmag = (log_gamma(n - ell) + log_gamma(n + ell + rho + 1.0)
+                      + np.log(np.abs(bracket)))
+        sa, sb = sign[:-1], sign[1:]
+        la, lb = logmag[:-1], logmag[1:]
+        with np.errstate(invalid="ignore"):
+            both_pos = np.tanh(np.clip((la - lb) / 2.0, -60.0, 60.0))
+            both_neg = np.tanh(np.clip((lb - la) / 2.0, -60.0, 60.0))
+        margins = np.where(sa > sb, 1.0,
+                           np.where(sa < sb, -1.0,
+                                    np.where(sa > 0, both_pos,
+                                             np.where(sa < 0, both_neg, -1.0))))
+        i = int(np.argmin(margins))
+        if margins[i] < worst[0]:
+            worst = (float(margins[i]), n, i + 1, float(la[i]) * float(sa[i]),
+                     float(lb[i]) * float(sb[i]))
+    return worst
+
+
+def test_l1_xi_tables_match_direct_log_gamma():
+    rhos = (-0.9, 0.0, 2.5, 6.0)
+    rep = check_lemma("L1-xi", rhos=rhos, n_max=90)
+    for rho, row in zip(rhos, rep.rows):
+        got = (row.margin, row.n, row.ell_or_tau, row.lhs, row.rhs)
+        assert got == _l1_xi_scan(rho, 90), rho
+
+
+def test_interval_only_suites_reject_the_triangle():
+    tri = WeightConfig(2, (0.0, 0.0, 0.0))
+    for name in ("kink", "full", "poly", "smoke"):
+        with pytest.raises(ValueError, match="interval-only"):
+            get_suite(name, tri)
+    with pytest.raises(ValueError, match="interval-only"):
+        run_direct(tri, suite_name="kink")
+    assert get_suite("eig", tri)

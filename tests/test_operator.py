@@ -277,6 +277,17 @@ def test_basis_and_spectral_forms_agree_triangle():
     assert np.max(np.abs(basis_vals - spectral_vals)) <= 1e-8
 
 
+def test_own_node_application_reuses_stored_bernstein_values():
+    f = lambda x: np.cos(3.0 * np.reshape(x, (len(x), -1)).sum(axis=1))
+    for cfg, n in [(WeightConfig(1, (0.5, -0.25)), 9),
+                   (WeightConfig(2, (0.0, 0.5, 0.0)), 6)]:
+        plan = make_plan(cfg, n, f_degree=4)
+        nodes = plan.rule.nodes
+        # a copy of the nodes takes the path that rebuilds the matrix
+        assert np.array_equal(apply_durrmeyer(plan, f, nodes),
+                              apply_durrmeyer(plan, f, nodes.copy()))
+
+
 def test_g_n_telescoping():
     rng = np.random.default_rng(112)
     for alphas in [(0.0, 0.0), (1.0, 1.0)]:

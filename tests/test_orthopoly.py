@@ -26,6 +26,8 @@ from durrmeyer import (
     synthesize,
     weight_mass,
 )
+from durrmeyer.orthopoly import _stieltjes_recurrence
+from durrmeyer.quadrature import gauss_jacobi_rule
 
 FLAT = WeightConfig(1, (0.0, 0.0))
 
@@ -244,3 +246,41 @@ def test_basis_table_is_cached():
     a = get_basis(WeightConfig(1, (0.25, 0.75)), 9)
     b = get_basis(WeightConfig(1, (0.25, 0.75)), 9)
     assert a is b
+
+
+def _monic_stieltjes(nodes, weights, L):
+    """The unscaled monic sweep, the reference where it stays clear of
+    subnormals; past band ~250 its squared norms underflow."""
+    a = np.empty(L + 1)
+    b = np.empty(L + 1)
+    p_prev = np.zeros_like(nodes)
+    p_cur = np.ones_like(nodes)
+    norm_prev = 1.0
+    for k in range(L + 1):
+        norm_cur = np.dot(weights, p_cur * p_cur)
+        a[k] = np.dot(weights, nodes * p_cur * p_cur) / norm_cur
+        b[k] = norm_cur if k == 0 else norm_cur / norm_prev
+        p_next = (nodes - a[k]) * p_cur
+        if k > 0:
+            p_next -= b[k] * p_prev
+        p_prev, p_cur, norm_prev = p_cur, p_next, norm_cur
+    return a, b
+
+
+def test_scaled_stieltjes_sweep_matches_monic_sweep_bitwise():
+    for alphas in [(0.0, 0.0), (-0.5, -0.5), (0.5, 1.5), (2.0, -0.9)]:
+        for L in (1, 64, 144):
+            rule = gauss_jacobi_rule(alphas[0], alphas[1], L + 2)
+            got_a, got_b = _stieltjes_recurrence(rule.nodes, rule.weights, L)
+            want_a, want_b = _monic_stieltjes(rule.nodes, rule.weights, L)
+            assert np.array_equal(got_a, want_a), (alphas, L)
+            assert np.array_equal(got_b, want_b), (alphas, L)
+
+
+def test_band_512_basis_is_orthonormal():
+    L = 512
+    for alphas in [(0.0, 0.0), (-0.5, -0.5), (0.5, 1.5)]:
+        rule = gauss_jacobi_rule(alphas[0], alphas[1], L + 2)
+        gram = gram_matrix(WeightConfig(1, alphas), L, rule)
+        err = np.max(np.abs(gram - np.eye(L + 1)))
+        assert err <= 1e-12, (alphas, err)

@@ -1,0 +1,152 @@
+"""Property tests over random inputs: the batched p = 2 K search against the
+scalar golden-section search it replaced, and the flat coefficient container
+against blockwise arithmetic.
+
+Examples are bounded and derandomized so the suite stays fast and repeatable.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from durrmeyer import SpectralCoefficients, WeightConfig, k_exact_p2
+from durrmeyer.orthopoly import block_size
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+_LAM2_GRID = np.exp(np.linspace(np.log(1e-18), np.log(1e18), 481))
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _p2_value(b, lam, t, tail2, lam2):
+    lam2 = np.atleast_1d(np.asarray(lam2, dtype=float))
+    shrink = 1.0 / (1.0 + np.outer(lam2, lam * lam))
+    resid = b * (1.0 - shrink)
+    fid = np.sqrt((resid * resid).sum(axis=1) + tail2)
+    rough = np.sqrt(((lam * (b * shrink)) ** 2).sum(axis=1))
+    return fid + t * rough
+
+
+def _k_exact_p2_scalar(cfg, f, t, tail_norm=0.0):
+    """One golden-section search for one t, the reference for the batch."""
+    tail2 = float(tail_norm) ** 2
+    b = f.block_norms()
+    ell = np.arange(f.max_degree + 1, dtype=float)
+    lam = ell * (ell + cfg.rho)
+    values = _p2_value(b, lam, t, tail2, _LAM2_GRID)
+    i = int(np.argmin(values))
+    best = float(values[i])
+    lo = math.log(_LAM2_GRID[max(i - 1, 0)])
+    hi = math.log(_LAM2_GRID[min(i + 1, _LAM2_GRID.size - 1)])
+    x1 = hi - _GOLDEN * (hi - lo)
+    x2 = lo + _GOLDEN * (hi - lo)
+    f1 = float(_p2_value(b, lam, t, tail2, math.exp(x1))[0])
+    f2 = float(_p2_value(b, lam, t, tail2, math.exp(x2))[0])
+    for _ in range(72):
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _GOLDEN * (hi - lo)
+            f1 = float(_p2_value(b, lam, t, tail2, math.exp(x1))[0])
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _GOLDEN * (hi - lo)
+            f2 = float(_p2_value(b, lam, t, tail2, math.exp(x2))[0])
+    best = min(best, f1, f2)
+    keep_f = math.sqrt(tail2) + t * float(np.sqrt(((lam * b) ** 2).sum()))
+    keep_mean = math.sqrt(float((b[1:] * b[1:]).sum()) + tail2)
+    return min(best, keep_f, keep_mean)
+
+
+# no magnitudes whose squares leave the normal range
+unit_floats = st.floats(-1.0, 1.0).map(lambda v: v if abs(v) > 1e-100 else 0.0)
+
+
+@st.composite
+def coefficients(draw, max_band=(30, 8)):
+    """Random coefficients for a random d = 1 or d = 2 weight and band."""
+    d = draw(st.sampled_from((1, 2)))
+    alphas = tuple(draw(st.floats(-0.9, 3.0)) for _ in range(d + 1))
+    cfg = WeightConfig(d, alphas)
+    L = draw(st.integers(0, max_band[d - 1]))
+    size = sum(block_size(cfg, ell) for ell in range(L + 1))
+    scale = draw(st.sampled_from((1e-6, 1.0, 1e4)))
+    values = draw(st.lists(unit_floats, min_size=size, max_size=size))
+    return SpectralCoefficients.from_flat(cfg, scale * np.array(values))
+
+
+t_values = st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e3)),
+                    min_size=1, max_size=6).map(lambda ts: [0.0] + ts)
+
+
+@PROPERTY
+@given(coefficients(), t_values, st.sampled_from((0.0, 1e-3, 0.7)))
+def test_batched_k_equals_scalar_search_bitwise(f, ts, tail):
+    cfg = f.cfg
+    got = k_exact_p2(cfg, f, np.array(ts), tail_norm=tail)
+    want = [_k_exact_p2_scalar(cfg, f, t, tail_norm=tail) for t in ts]
+    assert got.shape == (len(ts),)
+    assert got.tolist() == want
+    one = k_exact_p2(cfg, f, ts[-1], tail_norm=tail)
+    assert isinstance(one, float) and one == want[-1]
+
+
+@PROPERTY
+@given(coefficients(max_band=(6, 3)), t_values, st.data())
+def test_any_negative_t_raises(f, ts, data):
+    i = data.draw(st.integers(0, len(ts) - 1))
+    ts[i] = -data.draw(st.floats(1e-300, 1e3))
+    with pytest.raises(ValueError):
+        k_exact_p2(f.cfg, f, np.array(ts))
+
+
+@PROPERTY
+@given(coefficients())
+def test_flat_and_block_forms_round_trip(c):
+    blocks = c.blocks
+    assert len(blocks) == c.max_degree + 1
+    assert [b.size for b in blocks] == [block_size(c.cfg, ell) for ell in range(len(blocks))]
+    assert np.array_equal(np.concatenate(blocks), c.flat())
+    again = SpectralCoefficients.from_flat(c.cfg, np.concatenate(blocks))
+    assert np.array_equal(again.flat(), c.flat())
+    source = np.array(c.flat())
+    copy = SpectralCoefficients.from_flat(c.cfg, source)
+    source[0] += 1.0
+    assert np.array_equal(copy.flat(), c.flat())
+    with pytest.raises(ValueError):
+        blocks[-1][0] = 1.0
+    with pytest.raises(ValueError):
+        c.flat()[0] = 1.0
+
+
+@PROPERTY
+@given(coefficients(), st.data())
+def test_arithmetic_matches_blockwise_reference(c, data):
+    cfg, nblocks = c.cfg, c.max_degree + 1
+    other = SpectralCoefficients.from_flat(
+        cfg, np.array(data.draw(st.lists(st.floats(-5.0, 5.0), min_size=c.flat().size,
+                                         max_size=c.flat().size))))
+    factors = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=nblocks,
+                                          max_size=nblocks)))
+    scalar = data.draw(st.floats(-3.0, 3.0))
+    cases = [
+        (c + other, [a + b for a, b in zip(c.blocks, other.blocks)]),
+        (c - other, [a - b for a, b in zip(c.blocks, other.blocks)]),
+        (c * scalar, [scalar * a for a in c.blocks]),
+        (scalar * c, [scalar * a for a in c.blocks]),
+        (-c, [-1.0 * a for a in c.blocks]),
+        (c.scaled(factors), [s * a for s, a in zip(factors, c.blocks)]),
+    ]
+    for got, want in cases:
+        assert got.max_degree == c.max_degree
+        assert all(np.array_equal(g, w) for g, w in zip(got.blocks, want))
+    # norms sum in another order than a blockwise loop: at most 11 terms per
+    # block here, so 1e-14 relative covers the rounding
+    want_norms = np.array([math.sqrt(np.dot(b, b)) for b in c.blocks])
+    assert np.allclose(c.block_norms(), want_norms, rtol=1e-14, atol=0.0)
+    want_norm = math.sqrt(sum(np.dot(b, b) for b in c.blocks))
+    assert math.isclose(c.norm2(), want_norm, rel_tol=1e-14, abs_tol=0.0)
+    with pytest.raises(ValueError):
+        c.scaled(factors[:-1])
