@@ -290,12 +290,10 @@ def _run_kfunc(cfg: RunConfig):
         for p in cfg.ps:
             exacts = fc.kvalues(ns, p) if p == 2 else [None] * len(ns)
             for n, exact in zip(ns, exacts):
-                try:
-                    lower = k_lower(weight, fc.coeffs, n, p, ctx=fc.ctx)
-                except ValueError:
-                    lower = 0.0  # operator band too small: K >= 0 still holds
+                # band >= max(ns), so k_lower applies every degree exactly
+                lower = k_lower(weight, fc.coeffs, n, p, ctx=fc.ctx)
                 upper, _ = k_upper_detail(weight, fc.coeffs, 1.0 / n, p,
-                                          ctx=fc.ctx)
+                                          ctx=fc.ctx, exact=exact)
                 scale = max(upper, 1e-300)
                 if exact is None:
                     margin = (upper - lower) / scale + slack

@@ -18,13 +18,13 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import kfunc
 from .operators import (apply_durrmeyer, apply_durrmeyer_spectral, apply_P_spectral,
                         apply_Q, build_g_n, make_plan)
 from .orthopoly import (SpectralCoefficients, cesaro_factors, cesaro_mean,
                         default_band, get_basis, partial_sum, project)
+from .quadrature import gauss_jacobi_rule
 from .spectrum import (WeightConfig, config_for_rho, eigenvalue_mu, log_mu_all,
                        log_nu_all, multiplier_nu_all, nu_second)
 from .suite import DEFAULT_SEED, get_suite
@@ -222,6 +222,8 @@ def _check_sup_simple(which, rhos, n_max, t0):
     second-difference sum.  Both pass via sup stabilization."""
     _require_nonneg(rhos, which)
     ns = _dyadic(8, n_max)
+    if not ns:
+        raise ValueError("no degree satisfies 8 <= n <= %d" % n_max)
     rows = []
     overall = 0.0
     for rho in rhos:
@@ -367,6 +369,29 @@ def _check_l6(rhos, n_max, delta, b, t0):
     return _finish("L6", grid, rows, t0, empirical=overall)
 
 
+# Node count of each half of the HAT rule.  A fixed Gauss rule suffices: on
+# [ell, ell+2] with 1 <= ell <= n-2 the integrand is analytic, and its nearest
+# singularities (the poles of Gamma(n - tau + 1) from tau = n + 1 on, and the
+# zero of 1 - mu at tau = 0) lie at least 1 from each unit half.  The Gauss
+# error then decays like (3 + sqrt 8)^(-2m), about 1e-31 at m = 20, far below
+# the 1e-12 noise of nu_second and the check's 1e-6 tolerance; m from 10 to 32
+# gives the same integrals to that noise.
+HAT_NODES = 20
+
+
+def hat_integrals(cfg, n, ells):
+    """Integral of hat(s - ell) nu_n''(s) over [ell, ell+2] for each ell, the
+    hat rising on [0, 1] and falling on [1, 2].  Each half uses the m-node
+    Gauss-Legendre rule (Gauss-Jacobi with weight 1) with the hat folded into
+    its weights, and nu_second is evaluated once on all nodes of all ells."""
+    rule = gauss_jacobi_rule(0, 0, HAT_NODES)
+    x = np.concatenate([rule.nodes, 1.0 + rule.nodes])
+    w = np.concatenate([rule.weights * rule.nodes,
+                        rule.weights * (1.0 - rule.nodes)])
+    ells = np.asarray(ells, dtype=float)
+    return nu_second(cfg, n, ells[:, None] + x) @ w
+
+
 def _check_hat(rhos, t0):
     """Second differences of the multipliers as hat-weighted integrals of the
     second derivative of the continuous extension."""
@@ -377,26 +402,20 @@ def _check_hat(rhos, t0):
         cfg = config_for_rho(rho)
         for n in (4, 8, 16, 32, 64):
             nu = multiplier_nu_all(cfg, n)
-            ells = sorted({e for e in (1, 2, n // 4, n // 2, n - 2)
-                           if 1 <= e <= n - 2})
-            worst = (-math.inf, None, None, None)
-            for ell in ells:
-                lhs = nu[ell + 1] - 2.0 * nu[ell] + nu[ell - 1]
-                up, _ = quad(lambda s: (s - ell) * nu_second(cfg, n, s),
-                             ell, ell + 1, epsabs=1e-13, epsrel=1e-11)
-                down, _ = quad(lambda s: (ell + 2 - s) * nu_second(cfg, n, s),
-                               ell + 1, ell + 2, epsabs=1e-13, epsrel=1e-11)
-                rhs = up + down
-                resid = abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-12)
-                if resid > worst[0]:
-                    worst = (resid, ell, lhs, rhs)
-            resid, ell, lhs, rhs = worst
+            ells = np.array(sorted({e for e in (1, 2, n // 4, n // 2, n - 2)
+                                    if 1 <= e <= n - 2}))
+            lhs = nu[ells + 1] - 2.0 * nu[ells] + nu[ells - 1]
+            rhs = hat_integrals(cfg, n, ells)
+            resids = np.abs(lhs - rhs) / (np.abs(lhs) + np.abs(rhs) + 1e-12)
+            i = int(np.argmax(resids))
+            resid = float(resids[i])
             rows.append(CheckRow("HAT", d=1, alphas=cfg.alphas, rho=rho, n=n,
-                                 ell_or_tau=ell, lhs=lhs, rhs=rhs,
-                                 margin=tol - resid, empirical_constant=resid,
-                                 passed=resid <= tol))
+                                 ell_or_tau=int(ells[i]), lhs=float(lhs[i]),
+                                 rhs=float(rhs[i]), margin=tol - resid,
+                                 empirical_constant=resid, passed=resid <= tol))
     grid = ("rho in %s, n in [4,8,16,32,64], representative ell per n, "
-            "adaptive integration, tolerance %g") % (list(rhos), tol)
+            "%d-node Gauss-Legendre rule per hat half, tolerance %g") % (
+                list(rhos), HAT_NODES, tol)
     return _finish("HAT", grid, rows, t0)
 
 
@@ -874,7 +893,8 @@ def verify_bracket(ns=(4, 16, 64), seed=DEFAULT_SEED) -> CheckReport:
         exacts = fc.kvalues(ns, 2)
         for n, exact in zip(ns, exacts):
             lower = kfunc.k_lower(cfg, fc.coeffs, n, 2, ctx=fc.ctx)
-            upper = kfunc.k_upper(cfg, fc.coeffs, 1.0 / n, 2, ctx=fc.ctx)
+            upper, _ = kfunc.k_upper_detail(cfg, fc.coeffs, 1.0 / n, 2,
+                                            ctx=fc.ctx, exact=exact)
             scale = max(exact, upper, 1e-300)
             margin = min((exact - lower) / scale + slack,
                          (upper - exact) / scale + slack)

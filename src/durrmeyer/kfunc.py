@@ -227,9 +227,13 @@ def default_candidates(cfg: WeightConfig, f: SpectralCoefficients, t,
 
 
 def k_upper_detail(cfg: WeightConfig, f: SpectralCoefficients, t, p, *,
-                   ctx: NormContext = None, candidates=None):
+                   ctx: NormContext = None, candidates=None, exact=None):
     """Minimum of ||f-g||_p + t ||P g||_p over the candidates; returns
-    (value, witness).  A valid upper bound for the K-functional."""
+    (value, witness).  A valid upper bound for the K-functional.
+
+    At p = 2 the banded optimum k_exact_p2 joins the candidates; a caller
+    that already holds it for this t and ctx.tail_norm passes it as `exact`
+    and the search is not repeated."""
     t = float(t)
     if t < 0.0:
         raise ValueError("t must be >= 0")
@@ -244,7 +248,8 @@ def k_upper_detail(cfg: WeightConfig, f: SpectralCoefficients, t, p, *,
         if val < best:
             best, name = val, label
     if p == 2:
-        val = k_exact_p2(cfg, f, t, tail_norm=ctx.tail_norm)
+        val = exact if exact is not None else \
+            k_exact_p2(cfg, f, t, tail_norm=ctx.tail_norm)
         if val <= best:
             best, name = val, "band-optimal"
     return best, name

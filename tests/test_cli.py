@@ -130,6 +130,14 @@ def test_exit_two_on_interval_suite_with_triangle():
     assert cfg.suite == "eig"
 
 
+def test_exit_two_on_lemma_ladder_below_eight(capsys):
+    # L3 and L4 start their dyadic ladder at n = 8
+    rc = run_main(["--command", "verify-lemmas", "--n-stop", "7"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "8 <= n <= 7" in err
+
+
 def test_exit_three_on_degeneracy(tmp_path, monkeypatch):
     def explode(*args, **kwargs):
         raise DegeneracyError("tau pinned to the band edge")

@@ -26,12 +26,15 @@ from durrmeyer import (
 )
 from durrmeyer.harness import (
     LEMMA_IDS,
+    RHO_GRID_NONNEG,
     FunctionContext,
     _finish,
     _rel_margin,
     _stabilization,
+    hat_integrals,
 )
 from durrmeyer.specfun import log_gamma
+from durrmeyer.spectrum import nu_second
 from durrmeyer.suite import eigenfunction_suite, get_suite
 
 
@@ -202,3 +205,27 @@ def test_interval_only_suites_reject_the_triangle():
     with pytest.raises(ValueError, match="interval-only"):
         run_direct(tri, suite_name="kink")
     assert get_suite("eig", tri)
+
+
+def _hat_integral_quad(cfg, n, ell):
+    """The hat-weighted integral by adaptive quadrature, one scalar nu_second
+    call per node: the reference for the fixed Gauss-Legendre rule."""
+    from scipy.integrate import quad
+
+    up, _ = quad(lambda s: (s - ell) * nu_second(cfg, n, s),
+                 ell, ell + 1, epsabs=1e-13, epsrel=1e-11)
+    down, _ = quad(lambda s: (ell + 2 - s) * nu_second(cfg, n, s),
+                   ell + 1, ell + 2, epsabs=1e-13, epsrel=1e-11)
+    return up + down
+
+
+def test_hat_integrals_match_adaptive_quadrature():
+    for rho in RHO_GRID_NONNEG + (6.0,):
+        cfg = config_for_rho(rho)
+        for n in (4, 8, 16, 32, 64):
+            ells = sorted({e for e in (1, 2, n // 4, n // 2, n - 2)
+                           if 1 <= e <= n - 2})
+            got = hat_integrals(cfg, n, ells)
+            for ell, value in zip(ells, got):
+                want = _hat_integral_quad(cfg, n, ell)
+                assert abs(value - want) <= 1e-10 * abs(want), (rho, n, ell)

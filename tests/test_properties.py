@@ -1,6 +1,7 @@
 """Property tests over random inputs: the batched p = 2 K search against the
-scalar golden-section search it replaced, and the flat coefficient container
-against blockwise arithmetic.
+scalar golden-section search it replaced, the flat coefficient container
+against blockwise arithmetic, and the log-gamma ratio's symmetry and
+recurrence.
 
 Examples are bounded and derandomized so the suite stays fast and repeatable.
 """
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from durrmeyer import SpectralCoefficients, WeightConfig, k_exact_p2
 from durrmeyer.orthopoly import block_size
+from durrmeyer.specfun import gamma_ratio_log
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -150,3 +152,46 @@ def test_arithmetic_matches_blockwise_reference(c, data):
     assert math.isclose(c.norm2(), want_norm, rel_tol=1e-14, abs_tol=0.0)
     with pytest.raises(ValueError):
         c.scaled(factors[:-1])
+
+
+# log-uniform over [1e-3, 1e7]
+gamma_args = st.floats(math.log(1e-3), math.log(1e7)).map(math.exp)
+
+
+@st.composite
+def gamma_pairs(draw):
+    """(a, b) with a + 1 exact in floating point; b is independent of a or
+    an integer gap away, which takes the scalar telescoping path."""
+    a = draw(gamma_args)
+    # a + 1 - 1 is exact for a >= 0, so (a + 1) is a's exact successor
+    a = (a + 1.0) - 1.0
+    if draw(st.booleans()):
+        b = draw(gamma_args)
+    else:
+        b = a + draw(st.integers(-60, 60))
+        if b <= 0.0:
+            b = a
+    return a, b
+
+
+@PROPERTY
+@given(gamma_pairs())
+def test_gamma_ratio_log_is_antisymmetric(pair):
+    a, b = pair
+    assert gamma_ratio_log(a, b) == -gamma_ratio_log(b, a)
+    got = gamma_ratio_log(np.array([a, b]), np.array([b, a]))
+    assert got[0] == -got[1]
+
+
+@PROPERTY
+@given(gamma_pairs())
+def test_gamma_ratio_log_recurrence(pair):
+    # log Gamma(a+1)/Gamma(b) = log a + log Gamma(a)/Gamma(b), scalar and
+    # array paths; 1e-13 of the largest term (absolute below 1) is about
+    # twenty times the worst error of a 20k-point sweep
+    a, b = pair
+    for wrap in (float, lambda v: np.array([v])):
+        lhs = float(np.squeeze(gamma_ratio_log(wrap(a + 1.0), wrap(b))))
+        ratio = float(np.squeeze(gamma_ratio_log(wrap(a), wrap(b))))
+        scale = max(abs(lhs), abs(ratio), abs(math.log(a)), 1.0)
+        assert abs(lhs - (math.log(a) + ratio)) <= 1e-13 * scale, (a, b)
