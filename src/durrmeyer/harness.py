@@ -22,11 +22,13 @@ import numpy as np
 from . import kfunc
 from .operators import (apply_durrmeyer, apply_durrmeyer_spectral, apply_P_spectral,
                         apply_Q, build_g_n, make_plan)
-from .orthopoly import (SpectralCoefficients, cesaro_factors, cesaro_mean,
+from .orthopoly import (SpectralCoefficients, block_size, cesaro_factors, cesaro_mean,
                         default_band, get_basis, partial_sum, project)
-from .quadrature import gauss_jacobi_rule
-from .spectrum import (WeightConfig, config_for_rho, eigenvalue_mu, log_mu_all,
-                       log_nu_all, multiplier_nu_all, nu_second)
+from .quadrature import gauss_jacobi_rule, lp_norm
+from .specfun import log_gamma
+from .spectrum import (WeightConfig, c_n, c_n_prime, c_n_second, config_for_rho,
+                       eigenvalue_mu, log_mu_all, log_nu_all, multiplier_nu_all,
+                       nu_prime, nu_second)
 from .suite import DEFAULT_SEED, get_suite
 
 TOL_IDENTITY = 1e-12
@@ -165,7 +167,6 @@ def _check_l1(rhos, n_max, t0):
 def _check_l1_xi(rhos, n_max, t0):
     """Strict decrease of the signed products (n-ell-1)! Gamma(n+ell+rho+1)
     [n - ell(ell+rho+1)], compared through signs and log magnitudes."""
-    from .specfun import log_gamma
 
     # log_gamma is elementwise, so one table over the arguments n - ell
     # (1..n_max-1) and one per rho over n + ell (4..2 n_max - 1) give the
@@ -263,7 +264,6 @@ def _open_grid(upper, count=200):
 def _check_l5(rhos, t0):
     """Five bounds on the digamma difference and its derivatives, plus the
     two-sided logarithmic bracket, each on its stated tau-domain."""
-    from .spectrum import c_n, c_n_prime, c_n_second
 
     _require_nonneg(rhos, "L5")
     ns = (8, 16, 32, 64, 128, 256)
@@ -324,7 +324,6 @@ def _check_l5(rhos, t0):
 def _check_l6(rhos, n_max, delta, b, t0):
     """Decay of the multipliers at the top of the spectrum: n^2 nu_{n,ell}
     on [delta n, n], tau |nu'| on [1, n-1], tau^2 |nu''| on [1, sqrt(bn)]."""
-    from .spectrum import nu_prime
 
     _require_nonneg(rhos, "L6")
     if not 0.0 < delta <= 1.0:
@@ -706,7 +705,6 @@ def estimate_operator_norm(kind, p, n, cfg=None, seed=DEFAULT_SEED,
     def norm_p(flat):
         if p == math.inf:
             return float(np.max(np.abs(mat_grid @ flat)))
-        from .quadrature import lp_norm
 
         return lp_norm(mat_rule @ flat, rule, p)
 
@@ -769,7 +767,6 @@ _STRUCT_CFGS = (WeightConfig(1, (0.0, 0.0)), WeightConfig(1, (0.75, 0.75)),
 
 
 def _random_coeffs(cfg, L, rng):
-    from .orthopoly import block_size
 
     size = sum(block_size(cfg, ell) for ell in range(L + 1))
     return SpectralCoefficients.from_flat(cfg, rng.uniform(-1.0, 1.0, size))

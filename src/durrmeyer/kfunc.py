@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import apply_durrmeyer_spectral, apply_P_spectral, build_g_n
-from .orthopoly import SpectralCoefficients, cesaro_factors
+from .orthopoly import SpectralCoefficients, cesaro_factors, get_basis
 from .quadrature import interval_rule, lp_norm, simplex_rule_2d, sup_grid, sup_grid_2d
 from .spectrum import WeightConfig
 
@@ -155,8 +155,6 @@ class NormContext:
     repeated norms against one f are matrix-vector products."""
 
     def __init__(self, cfg, f_coeffs, f_fn=None, kinks=(), rule=None, grid=None):
-        from .orthopoly import get_basis
-
         self.cfg = cfg
         self.coeffs = f_coeffs
         self.kinks = tuple(kinks)

@@ -88,12 +88,16 @@ def _check_n(n):
     return int(n)
 
 
+def _log_factors(rho, n, ell):
+    # log of the telescoping factors of mu(n, ell), one per j < ell
+    j = np.arange(ell, dtype=float)
+    return np.log1p(-(rho + 1.0 + 2.0 * j) / (n + rho + 1.0 + j))
+
+
 def log_mu_all(cfg: WeightConfig, n) -> np.ndarray:
     """log of the eigenvalue for every ell = 0..n at fixed n."""
     n = _check_n(n)
-    rho = cfg.rho
-    j = np.arange(n, dtype=float)
-    terms = np.log1p(-(rho + 1.0 + 2.0 * j) / (n + rho + 1.0 + j))
+    terms = _log_factors(cfg.rho, n, n)
     out = np.empty(n + 1)
     out[0] = 0.0
     np.cumsum(terms, out=out[1:])
@@ -114,10 +118,7 @@ def eigenvalue_mu(cfg: WeightConfig, n, ell) -> float:
     n = _check_n(n)
     if int(ell) != ell or not 0 <= ell <= n:
         raise ValueError("need 0 <= ell <= n")
-    ell = int(ell)
-    rho = cfg.rho
-    j = np.arange(ell, dtype=float)
-    return float(np.exp(np.sum(np.log1p(-(rho + 1.0 + 2.0 * j) / (n + rho + 1.0 + j)))))
+    return float(np.exp(np.sum(_log_factors(cfg.rho, n, int(ell)))))
 
 
 def eigenvalue_mu_over_n(cfg: WeightConfig, ns, ell) -> np.ndarray:
@@ -126,10 +127,7 @@ def eigenvalue_mu_over_n(cfg: WeightConfig, ns, ell) -> np.ndarray:
     ns = np.asarray(ns, dtype=float)
     if np.any(ns < ell):
         raise ValueError("every degree must satisfy n >= ell")
-    rho = cfg.rho
-    j = np.arange(ell, dtype=float)[None, :]
-    terms = np.log1p(-(rho + 1.0 + 2.0 * j) / (ns[:, None] + rho + 1.0 + j))
-    return np.exp(terms.sum(axis=1))
+    return np.exp(_log_factors(cfg.rho, ns[:, None], ell).sum(axis=1))
 
 
 def log_nu_all(cfg: WeightConfig, n) -> np.ndarray:
@@ -162,8 +160,7 @@ def multiplier_nu(cfg: WeightConfig, n, ell) -> float:
         raise ValueError("need 1 <= ell <= n")
     ell = int(ell)
     rho = cfg.rho
-    j = np.arange(ell, dtype=float)
-    logmu = float(np.sum(np.log1p(-(rho + 1.0 + 2.0 * j) / (n + rho + 1.0 + j))))
+    logmu = float(np.sum(_log_factors(rho, n, ell)))
     return ell * (ell + rho) * np.exp(logmu) / (n * (-np.expm1(logmu)))
 
 
@@ -234,7 +231,7 @@ def nu_prime(cfg: WeightConfig, n, tau):
     logmu = _log_mu_tau(cfg, n, tau)
     mu = np.exp(logmu)
     om = _one_minus_mu(logmu)
-    c = digamma(n + tau + rho + 1.0) - digamma(n - tau + 1.0)
+    c = c_n(cfg, n, tau)
     return (2.0 * tau + rho) * mu / (n * om) \
         - tau * (tau + rho) * mu * c / (n * om ** 2)
 
@@ -246,8 +243,8 @@ def nu_second(cfg: WeightConfig, n, tau):
     logmu = _log_mu_tau(cfg, n, tau)
     mu = np.exp(logmu)
     om = _one_minus_mu(logmu)
-    c = digamma(n + tau + rho + 1.0) - digamma(n - tau + 1.0)
-    cp = polygamma(1, n + tau + rho + 1.0) + polygamma(1, n - tau + 1.0)
+    c = c_n(cfg, n, tau)
+    cp = c_n_prime(cfg, n, tau)
     quad = tau * (tau + rho)
     return 2.0 * mu / (n * om) \
         - 2.0 * (2.0 * tau + rho) * mu * c / (n * om ** 2) \

@@ -1,7 +1,7 @@
 """Property tests over random inputs: the batched p = 2 K search against the
 scalar golden-section search it replaced, the flat coefficient container
-against blockwise arithmetic, and the log-gamma ratio's symmetry and
-recurrence.
+against blockwise arithmetic, the log-gamma ratio's symmetry and recurrence,
+and the successive-degree eigenvalue identity.
 
 Examples are bounded and derandomized so the suite stays fast and repeatable.
 """
@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from durrmeyer import SpectralCoefficients, WeightConfig, k_exact_p2
 from durrmeyer.orthopoly import block_size
 from durrmeyer.specfun import gamma_ratio_log
+from durrmeyer.spectrum import log_mu_all
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -195,3 +196,17 @@ def test_gamma_ratio_log_recurrence(pair):
         ratio = float(np.squeeze(gamma_ratio_log(wrap(a), wrap(b))))
         scale = max(abs(lhs), abs(ratio), abs(math.log(a)), 1.0)
         assert abs(lhs - (math.log(a) + ratio)) <= 1e-13 * scale, (a, b)
+
+
+@PROPERTY
+@given(st.floats(-1.0, 3.5, exclude_min=True), st.integers(2, 100_000))
+def test_successive_degree_eigenvalue_identity(alpha, n):
+    # 1 - mu(n-1, ell) / mu(n, ell) = ell (ell + rho) / (n (n + rho)) for
+    # ell < n and rho = 1 + 2 alpha in (-1, 8]; 64 n eps is about three times
+    # the worst residual of a 200-pair sweep
+    cfg = WeightConfig(1, (alpha, alpha))
+    rho = cfg.rho
+    ratio_gap = -np.expm1(log_mu_all(cfg, n - 1) - log_mu_all(cfg, n)[:n])
+    ell = np.arange(n, dtype=float)
+    want = ell * (ell + rho) / (n * (n + rho))
+    assert np.max(np.abs(ratio_gap - want)) <= 64 * n * np.finfo(float).eps, (rho, n)

@@ -140,6 +140,15 @@ def test_digamma_live_sweep_vs_mpmath():
         assert g == pytest.approx(want, rel=1e-12, abs=1e-13), x
 
 
+def test_digamma_near_its_zero_vs_mpmath():
+    # psi crosses zero at x = 1.46163..., where a small absolute error is a
+    # large relative one
+    mpmath.mp.dps = 40
+    for x in (1.45, 1.46, 1.4616, 1.47):
+        want = mpmath.digamma(x)
+        assert abs((mpmath.mpf(digamma(x)) - want) / want) <= 1e-14, x
+
+
 def test_polygamma_live_sweep_vs_mpmath():
     mpmath.mp.dps = 30
     xs = np.geomspace(0.1, 1e4, 25)
