@@ -81,18 +81,29 @@ def _bernstein_matrix(n, indices, pts):
 
     Computed in the log domain; boundary points follow the 0^0 = 1
     convention so the partition of unity holds on the whole closed domain.
+
+    The exponent-times-log terms are summed into one (nidx, npts) array one
+    barycentric coordinate at a time, left to right (x_1, ..., x_d, then
+    1 - |x|), and the log multinomial is added last.  numpy's sum over a
+    trailing axis of length d + 1 adds in that same order, so the values are
+    bit-identical to reducing the full (nidx, npts, d + 1) product, which
+    the tests keep as the reference; no array of that size is allocated.
     """
     ks = np.asarray(indices, dtype=float)
-    d = ks.shape[1]
     barycentric = np.column_stack([pts, 1.0 - pts.sum(axis=1)])
     exponents = np.column_stack([ks, n - ks.sum(axis=1)])
     if np.any(barycentric < -1e-12):
         raise ValueError("evaluation point outside the closed domain")
+    out = np.zeros((ks.shape[0], pts.shape[0]))
+    term = np.empty_like(out)
     with np.errstate(divide="ignore", invalid="ignore"):
         logs = np.log(np.maximum(barycentric, 0.0))
-        contrib = np.where(exponents[:, None, :] == 0.0, 0.0,
-                           exponents[:, None, :] * logs[None, :, :]).sum(axis=2)
-    return np.exp(_log_multinomial(n, ks)[:, None] + contrib)
+        for e, log_c in zip(exponents.T, logs.T):
+            np.multiply.outer(e, log_c, out=term)
+            term[e == 0.0] = 0.0
+            out += term
+    out += _log_multinomial(n, ks)[:, None]
+    return np.exp(out, out=out)
 
 
 def bernstein_basis(idx: BernsteinIndex, x):

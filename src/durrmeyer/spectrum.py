@@ -77,8 +77,18 @@ class WeightConfig:
 
 
 def config_for_rho(rho, d=1) -> WeightConfig:
-    """Symmetric-weight config with the requested rho (rho > -1 for d = 1)."""
+    """Symmetric-weight config with the requested rho (rho > -1).
+
+    Every exponent is (rho - d) / (d + 1), which rounds, so ``cfg.rho`` can
+    differ from the requested rho in the last digits: -0.9999999999999997
+    gives -0.9999999999999996.  A rho so close to -1 that the exponent
+    rounds to -1 or below raises a ValueError naming it.
+    """
     a = (float(rho) - d) / (d + 1)
+    if a <= -1.0:
+        raise ValueError(
+            f"rho = {rho!r} needs rho > -1: the symmetric exponent "
+            f"(rho - d)/(d + 1) for d = {d} rounds to {a!r}, which is -1 or below")
     return WeightConfig(d, (a,) * (d + 1))
 
 

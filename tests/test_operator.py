@@ -35,6 +35,8 @@ from durrmeyer import (
     simplex_rule_2d,
     synthesize,
 )
+from durrmeyer.operators import _bernstein_matrix
+from durrmeyer.quadrature import sup_grid
 
 FLAT = WeightConfig(1, (0.0, 0.0))
 
@@ -63,6 +65,24 @@ def test_partition_of_unity_triangle():
         for k in index_range(n, 2):
             total += bernstein_basis(BernsteinIndex(n, k), pts)
         assert np.max(np.abs(total - 1.0)) <= 1e-12, n
+
+
+def test_partition_of_unity_on_the_sup_grid_at_high_degree():
+    grid = sup_grid().reshape(-1, 1)
+    total = _bernstein_matrix(256, index_range(256, 1), grid).sum(axis=0)
+    assert np.max(np.abs(total - 1.0)) <= 1e-12
+
+
+def test_points_outside_the_domain_raise():
+    # 1e-12 of slack absorbs rounding at the boundary; beyond it is an error
+    for x in (-2e-12, 1.0 + 2e-12):
+        with pytest.raises(ValueError, match="outside the closed domain"):
+            _bernstein_matrix(5, index_range(5, 1), np.array([[0.5], [x]]))
+    for pt in ((-2e-12, 0.5), (0.5, -2e-12), (0.6, 0.4 + 2e-12)):
+        with pytest.raises(ValueError, match="outside the closed domain"):
+            _bernstein_matrix(5, index_range(5, 2), np.array([pt]))
+    inside = _bernstein_matrix(5, index_range(5, 1), np.array([[-5e-13], [1.0 + 5e-13]]))
+    assert np.allclose(inside[:, 0], np.eye(6)[0]) and np.allclose(inside[:, 1], np.eye(6)[5])
 
 
 def test_bernstein_spot_values():

@@ -1,7 +1,8 @@
 """Property tests over random inputs: the batched p = 2 K search against the
 scalar golden-section search it replaced, the flat coefficient container
 against blockwise arithmetic, the log-gamma ratio's symmetry and recurrence,
-and the successive-degree eigenvalue identity.
+the successive-degree eigenvalue identity, and the 2-D Bernstein kernel
+against the 3-D one it replaced.
 
 Examples are bounded and derandomized so the suite stays fast and repeatable.
 """
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from durrmeyer import SpectralCoefficients, WeightConfig, k_exact_p2
+from durrmeyer.operators import _bernstein_matrix, _log_multinomial, index_range
 from durrmeyer.orthopoly import block_size
 from durrmeyer.specfun import gamma_ratio_log
 from durrmeyer.spectrum import log_mu_all
@@ -210,3 +212,53 @@ def test_successive_degree_eigenvalue_identity(alpha, n):
     ell = np.arange(n, dtype=float)
     want = ell * (ell + rho) / (n * (n + rho))
     assert np.max(np.abs(ratio_gap - want)) <= 64 * n * np.finfo(float).eps, (rho, n)
+
+
+def _bernstein_matrix_3d(n, indices, pts):
+    """The Bernstein kernel as one (nidx, npts, d + 1) product reduced over
+    its last axis, the reference for the 2-D accumulation."""
+    ks = np.asarray(indices, dtype=float)
+    barycentric = np.column_stack([pts, 1.0 - pts.sum(axis=1)])
+    exponents = np.column_stack([ks, n - ks.sum(axis=1)])
+    if np.any(barycentric < -1e-12):
+        raise ValueError("evaluation point outside the closed domain")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.log(np.maximum(barycentric, 0.0))
+        contrib = np.where(exponents[:, None, :] == 0.0, 0.0,
+                           exponents[:, None, :] * logs[None, :, :]).sum(axis=2)
+    return np.exp(_log_multinomial(n, ks)[:, None] + contrib)
+
+
+unit_interval = st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0))
+
+
+@st.composite
+def triangle_points(draw):
+    """A vertex, an edge point or an interior point of the closed triangle."""
+    t = draw(unit_interval)
+    kind = draw(st.sampled_from(("vertex", "edge", "interior")))
+    if kind == "vertex":
+        return draw(st.sampled_from(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))))
+    if kind == "edge":
+        return draw(st.sampled_from(((t, 0.0), (0.0, t), (t, 1.0 - t))))
+    return (t, draw(unit_interval) * (1.0 - t))
+
+
+# the boundary points are always there; a few drawn points ride along, few
+# enough that the reference's (nidx, npts, 3) array stays small at n = 512
+kernel_points = st.sampled_from((1, 2)).flatmap(lambda d: st.tuples(
+    st.just(d),
+    st.lists(unit_interval if d == 1 else triangle_points(), max_size=6)))
+
+
+@PROPERTY
+@given(st.integers(0, 512), kernel_points)
+def test_bernstein_kernel_equals_3d_reference_bitwise(n, drawn):
+    d, extra = drawn
+    if d == 1:
+        pts = np.array([0.0, 1.0] + extra).reshape(-1, 1)
+    else:
+        pts = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.5, 0.5)] + extra)
+    indices = index_range(n, d)
+    got = _bernstein_matrix(n, indices, pts)
+    assert np.array_equal(got, _bernstein_matrix_3d(n, indices, pts))

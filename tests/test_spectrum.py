@@ -42,6 +42,16 @@ def test_config_for_rho_round_trip():
         assert config_for_rho(rho).rho == pytest.approx(rho, abs=1e-15)
 
 
+def test_config_for_rho_near_minus_one():
+    # the exponent (rho - d)/(d + 1) rounds, so the config's rho can move by
+    # an ulp, and a rho within an ulp or two of -1 gets an exponent of -1
+    assert config_for_rho(-0.9999999999999997).rho == -0.9999999999999996
+    for rho, d in ((-0.9999999999999999, 1), (-0.9999999999999998, 2), (-1.5, 1)):
+        with pytest.raises(ValueError, match=r"rho = .*rounds to") as err:
+            config_for_rho(rho, d)
+        assert repr(rho) in str(err.value)
+
+
 def test_mu_frozen_rationals():
     assert eigenvalue_mu(RHO1, 10, 0) == 1.0
     assert eigenvalue_mu(RHO1, 10, 1) == pytest.approx(10.0 / 12.0, rel=1e-14)
