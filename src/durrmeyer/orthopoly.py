@@ -221,7 +221,7 @@ class TriangleBasis:
         self.L = int(L)
         self.size = (self.L + 1) * (self.L + 2) // 2
         rule = simplex_rule_2d(cfg, 2 * self.L + 2)
-        raw = self._eval_raw(rule.nodes)
+        raw = np.ascontiguousarray(self._eval_raw(rule.nodes).T)
         norms = np.sqrt(np.einsum("q,qb,qb->b", rule.weights, raw, raw))
         if np.any(norms <= 0.0):
             raise ArithmeticError("nonpositive basis norm on the triangle")
@@ -235,6 +235,13 @@ class TriangleBasis:
         return ell * (ell + 1) // 2 + j
 
     def _eval_raw(self, pts) -> np.ndarray:
+        """Unnormalized basis values, shape ((L+1)(L+2)/2, npoints), C order.
+
+        Row flat_index(ell, j) holds phi_{ell,j} before normalization.  The
+        outer recurrence advances one degree step m for every inner index j
+        at once, so each step writes whole contiguous rows.  Per value the
+        float operations are those of a separate recurrence for each j.
+        """
         pts = np.asarray(pts, dtype=float)
         x1, x2 = pts[:, 0], pts[:, 1]
         a1, a2, a3 = self.cfg.alphas
@@ -252,26 +259,38 @@ class TriangleBasis:
             inner[j + 1] = ((c2 * s + c3 * v) * inner[j]
                             - c4 * (s * s) * inner[j - 1]) / c1
 
+        # outer factors P_m^{(A_j, a1)}(u), row j of p_cur for j = 0..L-m
         u = 2.0 * x1 - 1.0
-        out = np.empty((npts, self.size))
-        for j in range(L + 1):
-            A = 2.0 * j + a2 + a3 + 1.0
-            B = a1
-            p_prev = np.zeros(npts)
-            p_cur = np.ones(npts)
-            for m in range(L - j + 1):
-                out[:, self.flat_index(j + m, j)] = p_cur * inner[j]
-                if m == 0:
-                    p_next = (0.5 * (A + B + 2.0) * u + 0.5 * (A - B)) * p_cur
-                else:
-                    c1, c2, c3, c4 = _jacobi_recurrence_terms(m, A, B)
-                    p_next = ((c2 + c3 * u) * p_cur - c4 * p_prev) / c1
-                p_prev, p_cur = p_cur, p_next
+        j = np.arange(L + 1)
+        A = (2.0 * j + a2 + a3 + 1.0)[:, None]
+        B = a1
+        out = np.empty((self.size, npts))
+        p_prev = None
+        p_cur = np.ones((L + 1, npts))
+        for m in range(L + 1):
+            k = L - m + 1
+            ell = j[:k] + m
+            out[ell * (ell + 1) // 2 + j[:k]] = p_cur * inner[:k]
+            if m == L:
+                break
+            if m == 0:
+                p_next = (0.5 * (A[:k - 1] + B + 2.0) * u
+                          + 0.5 * (A[:k - 1] - B)) * p_cur[:k - 1]
+            else:
+                c1, c2, c3, c4 = _jacobi_recurrence_terms(m, A[:k - 1], B)
+                p_next = ((c2 + c3 * u) * p_cur[:k - 1] - c4 * p_prev[:k - 1]) / c1
+            p_prev, p_cur = p_cur, p_next
         return out
 
     def eval_all(self, pts) -> np.ndarray:
-        """Matrix of basis values, shape (npoints, (L+1)(L+2)/2)."""
-        return self._eval_raw(pts) * self._inv_norms
+        """Matrix of basis values, shape (npoints, (L+1)(L+2)/2), C order.
+
+        The transpose of the row-major raw values happens inside the
+        normalization multiply, which allocates the output anyway: every
+        value is the same product as in a column-by-column fill, and no
+        transposed copy is held beside the two full matrices.
+        """
+        return np.multiply(self._eval_raw(pts).T, self._inv_norms, order="C")
 
 
 _BASIS_CACHE: dict = {}
@@ -279,6 +298,8 @@ _BASIS_CACHE: dict = {}
 
 def get_basis(cfg: WeightConfig, L):
     """Basis table for (cfg, L), built once and shared."""
+    if int(L) < 0:
+        raise ValueError("band L = %d is negative; it must be >= 0" % int(L))
     key = (cfg, int(L))
     basis = _BASIS_CACHE.get(key)
     if basis is None:
@@ -323,10 +344,10 @@ def project(f, cfg: WeightConfig, L, rule=None) -> SpectralCoefficients:
     f may be a plain callable on the domain or a test-function object with
     optional `degree` and `kinks` attributes, which steer the default rule.
     """
+    basis = get_basis(cfg, L)
     if rule is None:
         rule = projection_rule(cfg, L, getattr(f, "degree", None),
                                tuple(getattr(f, "kinks", ()) or ()))
-    basis = get_basis(cfg, L)
     vals = np.asarray(f(rule.nodes), dtype=float)
     if vals.shape != (rule.weights.size,):
         raise ValueError("test function returned a wrong-shaped value array")

@@ -26,7 +26,7 @@ from durrmeyer import (
     synthesize,
     weight_mass,
 )
-from durrmeyer.orthopoly import _stieltjes_recurrence
+from durrmeyer.orthopoly import _BASIS_CACHE, _stieltjes_recurrence
 from durrmeyer.quadrature import gauss_jacobi_rule
 
 FLAT = WeightConfig(1, (0.0, 0.0))
@@ -246,6 +246,15 @@ def test_basis_table_is_cached():
     a = get_basis(WeightConfig(1, (0.25, 0.75)), 9)
     b = get_basis(WeightConfig(1, (0.25, 0.75)), 9)
     assert a is b
+
+
+@pytest.mark.parametrize("cfg", [FLAT, WeightConfig(2, (0.0, 0.0, 0.0))])
+def test_negative_band_raises_and_caches_nothing(cfg):
+    with pytest.raises(ValueError, match="band L = -1 is negative"):
+        get_basis(cfg, -1)
+    with pytest.raises(ValueError, match="band L = -1 is negative"):
+        project(lambda x: np.ones(len(x)), cfg, -1)
+    assert not any(L < 0 for _, L in _BASIS_CACHE)
 
 
 def _monic_stieltjes(nodes, weights, L):

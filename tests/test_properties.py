@@ -1,8 +1,9 @@
 """Property tests over random inputs: the batched p = 2 K search against the
 scalar golden-section search it replaced, the flat coefficient container
 against blockwise arithmetic, the log-gamma ratio's symmetry and recurrence,
-the successive-degree eigenvalue identity, and the 2-D Bernstein kernel
-against the 3-D one it replaced.
+the successive-degree eigenvalue identity, the 2-D Bernstein kernel
+against the 3-D one it replaced, and the triangle basis against the
+per-j recurrence it replaced.
 
 Examples are bounded and derandomized so the suite stays fast and repeatable.
 """
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 
 from durrmeyer import SpectralCoefficients, WeightConfig, k_exact_p2
 from durrmeyer.operators import _bernstein_matrix, _log_multinomial, index_range
-from durrmeyer.orthopoly import block_size
+from durrmeyer.orthopoly import TriangleBasis, _jacobi_recurrence_terms, block_size
+from durrmeyer.quadrature import simplex_rule_2d
 from durrmeyer.specfun import gamma_ratio_log
 from durrmeyer.spectrum import log_mu_all
 
@@ -262,3 +264,61 @@ def test_bernstein_kernel_equals_3d_reference_bitwise(n, drawn):
     indices = index_range(n, d)
     got = _bernstein_matrix(n, indices, pts)
     assert np.array_equal(got, _bernstein_matrix_3d(n, indices, pts))
+
+
+def _triangle_raw_per_j(cfg, L, pts):
+    """Unnormalized triangle basis, shape (npts, size), one outer recurrence
+    per inner index j written column by column: the reference for the
+    all-j row-major evaluation."""
+    x1, x2 = pts[:, 0], pts[:, 1]
+    a1, a2, a3 = cfg.alphas
+    npts = x1.size
+    s = 1.0 - x1
+    v = 2.0 * x2 - s
+    inner = np.empty((L + 1, npts))
+    inner[0] = 1.0
+    if L >= 1:
+        inner[1] = 0.5 * (a3 + a2 + 2.0) * v + 0.5 * (a3 - a2) * s
+    for j in range(1, L):
+        c1, c2, c3, c4 = _jacobi_recurrence_terms(j, a3, a2)
+        inner[j + 1] = ((c2 * s + c3 * v) * inner[j]
+                        - c4 * (s * s) * inner[j - 1]) / c1
+    u = 2.0 * x1 - 1.0
+    out = np.empty((npts, (L + 1) * (L + 2) // 2))
+    for j in range(L + 1):
+        A = 2.0 * j + a2 + a3 + 1.0
+        B = a1
+        p_prev = np.zeros(npts)
+        p_cur = np.ones(npts)
+        for m in range(L - j + 1):
+            out[:, (j + m) * (j + m + 1) // 2 + j] = p_cur * inner[j]
+            if m == 0:
+                p_next = (0.5 * (A + B + 2.0) * u + 0.5 * (A - B)) * p_cur
+            else:
+                c1, c2, c3, c4 = _jacobi_recurrence_terms(m, A, B)
+                p_next = ((c2 + c3 * u) * p_cur - c4 * p_prev) / c1
+            p_prev, p_cur = p_cur, p_next
+    return out
+
+
+def _same_bits(a, b):
+    # bit patterns, so signed zeros count and NaNs compare: weights within
+    # about 1e-12 of -1 get negative simplex-rule weights and NaN norms
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@PROPERTY
+@given(st.tuples(*[st.floats(-1.0, 3.0, exclude_min=True)] * 3),
+       st.integers(0, 40), st.lists(triangle_points(), max_size=6))
+def test_triangle_basis_equals_per_j_reference_bitwise(alphas, L, extra):
+    cfg = WeightConfig(2, alphas)
+    basis = TriangleBasis(cfg, L)
+    rule = simplex_rule_2d(cfg, 2 * L + 2)
+    raw = _triangle_raw_per_j(cfg, L, rule.nodes)
+    norms = np.sqrt(np.einsum("q,qb,qb->b", rule.weights, raw, raw))
+    assert _same_bits(basis._inv_norms, 1.0 / norms)
+
+    pts = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.5, 0.5)] + extra)
+    got = basis.eval_all(pts)
+    assert got.flags.c_contiguous
+    assert _same_bits(got, _triangle_raw_per_j(cfg, L, pts) * basis._inv_norms)
