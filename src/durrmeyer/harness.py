@@ -492,7 +492,8 @@ def _check_mult_id(rhos, k_max, t0, tol=TOL_IDENTITY):
 
 
 class FunctionContext:
-    """Projection plus cached norm machinery for one test function."""
+    """Projection plus cached norm machinery for one test function; operator
+    errors and K values are computed once per (n, p)."""
 
     def __init__(self, cfg, f, band=64):
         if f.kinks:
@@ -506,55 +507,62 @@ class FunctionContext:
         self.cfg = cfg
         self.f = f
         self.coeffs = coeffs
+        self._errors = {}
+        self._kvals = {}
 
     def op_error(self, n, p):
         """||M_n f - f||_p."""
-        return self.ctx.norm_diff(apply_durrmeyer_spectral(self.cfg, n, self.coeffs), p)
+        key = (n, p)
+        if key not in self._errors:
+            self._errors[key] = self.ctx.norm_diff(
+                apply_durrmeyer_spectral(self.cfg, n, self.coeffs), p)
+        return self._errors[key]
 
     def kvalues(self, ns, p):
-        """K(f, 1/n)_p for each n: the exact banded K at p = 2, all n in one
-        batched search; the candidate upper bound otherwise."""
-        ts = [1.0 / n for n in ns]
-        if p == 2:
-            return kfunc.k_exact_p2(self.cfg, self.coeffs, ts,
-                                    tail_norm=self.ctx.tail_norm).tolist()
-        return [kfunc.k_upper(self.cfg, self.coeffs, t, p, ctx=self.ctx) for t in ts]
+        """K(f, 1/n)_p for each n: the exact banded K at p = 2, all new n in
+        one batched search; the candidate upper bound otherwise."""
+        todo = [n for n in ns if (n, p) not in self._kvals]
+        if todo:
+            ts = [1.0 / n for n in todo]
+            if p == 2:
+                vals = kfunc.k_exact_p2(self.cfg, self.coeffs, ts,
+                                        tail_norm=self.ctx.tail_norm).tolist()
+            else:
+                vals = [kfunc.k_upper(self.cfg, self.coeffs, t, p, ctx=self.ctx)
+                        for t in ts]
+            self._kvals.update(((n, p), v) for n, v in zip(todo, vals))
+        return [self._kvals[(n, p)] for n in ns]
 
 
-def _direct_row(fc: FunctionContext, p, n, kval):
+def _direct_rows(fc: FunctionContext, p, n, kval):
     lhs = fc.op_error(n, p)
     rhs = 2.0 * kval
     margin = _rel_margin(lhs, rhs)
     # observed error-to-K ratio; the estimate asserts it never exceeds 2
     ratio = lhs / max(0.5 * rhs, 1e-300) if rhs > 0.0 else 0.0
     cfg = fc.cfg
-    return CheckRow("DIRECT", d=cfg.d, alphas=cfg.alphas, rho=cfg.rho, p=p, n=n,
-                    f_id=fc.f.f_id, lhs=lhs, rhs=rhs, margin=margin,
-                    empirical_constant=ratio, passed=margin >= INEQ_FLOOR)
+    return [CheckRow("DIRECT", d=cfg.d, alphas=cfg.alphas, rho=cfg.rho, p=p, n=n,
+                     f_id=fc.f.f_id, lhs=lhs, rhs=rhs, margin=margin,
+                     empirical_constant=ratio, passed=margin >= INEQ_FLOOR)]
 
 
 def verify_direct(cfg, f, p, n, fc=None) -> CheckReport:
     t0 = time.perf_counter()
     fc = fc or FunctionContext(cfg, f)
-    row = _direct_row(fc, p, n, fc.kvalues([n], p)[0])
+    rows = _direct_rows(fc, p, n, fc.kvalues([n], p)[0])
     return _finish("DIRECT", "single function %s, p=%s, n=%d" % (f.f_id, p, n),
-                   [row], t0)
+                   rows, t0)
 
 
-def run_direct(cfg=None, ps=(1, 2, math.inf), ns=(4, 8, 16, 32, 64),
-               suite_name="full", seed=DEFAULT_SEED, band=64) -> CheckReport:
-    t0 = time.perf_counter()
+_SUITE_PS = (1, 2, math.inf)
+_DIRECT_NS = (4, 8, 16, 32, 64)
+_THEOREM1_NS = (4, 8, 16, 32)
+
+
+def run_direct(cfg=None, ps=_SUITE_PS, ns=_DIRECT_NS, suite_name="full",
+               seed=DEFAULT_SEED, band=64) -> CheckReport:
     cfg = cfg if cfg is not None else config_for_rho(0.0)
-    rows = []
-    for f in get_suite(suite_name, cfg, seed):
-        fc = FunctionContext(cfg, f, band=band)
-        kvals = {p: fc.kvalues(ns, p) for p in ps}
-        for i, n in enumerate(ns):
-            for p in ps:
-                rows.append(_direct_row(fc, p, n, kvals[p][i]))
-    grid = "suite=%s, p in %s, n in %s, seed=%d" % (
-        suite_name, [str(p) for p in ps], list(ns), seed)
-    return _finish("DIRECT", grid, rows, t0)
+    return _suite_checks(cfg, suite_name, seed, band, {"DIRECT": (ps, ns)})[0]
 
 
 def _theorem1_rows(fc: FunctionContext, p, n, lhs):
@@ -591,25 +599,50 @@ def verify_theorem1(cfg, f, p, n, fc=None) -> CheckReport:
                    rows, t0)
 
 
-def run_theorem1(cfg=None, ps=(1, 2, math.inf), ns=(4, 8, 16, 32),
-                 suite_name="full", seed=DEFAULT_SEED, band=64) -> CheckReport:
+def run_theorem1(cfg=None, ps=_SUITE_PS, ns=_THEOREM1_NS, suite_name="full",
+                 seed=DEFAULT_SEED, band=64) -> CheckReport:
     """Converse estimate: K at scale 1/n against the three-term error bound,
     asserted at p = 2 where K is computed exactly, reported conservatively
     (upper-bound K) at other p."""
-    t0 = time.perf_counter()
     cfg = cfg if cfg is not None else config_for_rho(0.0)
-    if band < 2 * max(ns):
+    return _suite_checks(cfg, suite_name, seed, band, {"THM1": (ps, ns)})[0]
+
+
+# grid description and row builder (fc, p, n, K value) -> rows of each
+# suite check
+_SUITE_CHECKS = {
+    "DIRECT": ("suite=%s, p in %s, n in %s, seed=%d", _direct_rows),
+    "THM1": ("suite=%s, p in %s (asserted at p=2 only), n in %s, seed=%d",
+             _theorem1_rows),
+}
+
+
+def _suite_checks(cfg, suite_name, seed, band, specs):
+    """One report per entry of specs, {check_id: (ps, ns)}, from one pass
+    over the suite: each function's context is built once, serves every
+    check, and is freed before the next one is built.  A report's runtime
+    is the time spent on its own rows; context builds count to the first."""
+    if "THM1" in specs and band < 2 * max(specs["THM1"][1]):
         raise ValueError("band must cover degree 2n")
-    rows = []
+    rows = {cid: [] for cid in specs}
+    spent = dict.fromkeys(specs, 0.0)
     for f in get_suite(suite_name, cfg, seed):
+        t0 = time.perf_counter()
         fc = FunctionContext(cfg, f, band=band)
-        kvals = {p: fc.kvalues(ns, p) for p in ps}
-        for i, n in enumerate(ns):
-            for p in ps:
-                rows.extend(_theorem1_rows(fc, p, n, kvals[p][i]))
-    grid = ("suite=%s, p in %s (asserted at p=2 only), n in %s, seed=%d") % (
-        suite_name, [str(p) for p in ps], list(ns), seed)
-    return _finish("THM1", grid, rows, t0)
+        for cid, (ps, ns) in specs.items():
+            make = _SUITE_CHECKS[cid][1]
+            kvals = {p: fc.kvalues(ns, p) for p in ps}
+            for i, n in enumerate(ns):
+                for p in ps:
+                    rows[cid].extend(make(fc, p, n, kvals[p][i]))
+            t1 = time.perf_counter()
+            spent[cid] += t1 - t0
+            t0 = t1
+        del fc  # one context alive at a time
+    return [_finish(cid, _SUITE_CHECKS[cid][0] % (
+                suite_name, [str(p) for p in ps], list(ns), seed),
+                rows[cid], time.perf_counter() - spent[cid])
+            for cid, (ps, ns) in specs.items()]
 
 
 def run_proposition(ps=(2,), ns=(8, 16, 32, 64, 128), suite_name="full",
@@ -655,6 +688,7 @@ def run_proposition(ps=(2,), ns=(8, 16, 32, 64, 128), suite_name="full",
                                          rho=cfg.rho, p=p, n=n, f_id=fc.f.f_id,
                                          lhs=kval, rhs=bound * err,
                                          empirical_constant=ratio, passed=True))
+        del fc  # one context alive at a time
     grid = ("d=1 unweighted, suite=%s, p in %s (asserted at p=2 with bound 3), "
             "n in %s, seed=%d") % (suite_name, [str(p) for p in ps], list(ns), seed)
     return _finish("PROP", grid, rows, t0)
@@ -899,6 +933,7 @@ def verify_bracket(ns=(4, 16, 64), seed=DEFAULT_SEED) -> CheckReport:
                                  p=2, n=n, f_id=f.f_id, lhs=lower, rhs=upper,
                                  margin=margin, empirical_constant=exact,
                                  passed=margin >= 0.0))
+        del fc  # one context alive at a time
     grid = "full suite, p=2, n in %s, seed=%d" % (list(ns), seed)
     return _finish("KBRACKET", grid, rows, t0)
 
@@ -918,8 +953,10 @@ def report_all(seed=DEFAULT_SEED, delta=0.25, b=4.0, tol_identity=None,
                tol_quadrature=None):
     """Full verification battery with published defaults."""
     reports = run_lemmas(delta=delta, b=b, seed=seed, tol_identity=tol_identity)
-    reports.append(run_direct(seed=seed))
-    reports.append(run_theorem1(seed=seed))
+    # DIRECT and THM1 share one context per suite function
+    reports.extend(_suite_checks(config_for_rho(0.0), "full", seed, 64,
+                                 {"DIRECT": (_SUITE_PS, _DIRECT_NS),
+                                  "THM1": (_SUITE_PS, _THEOREM1_NS)}))
     reports.append(run_proposition(seed=seed))
     eig_kw = {} if tol_quadrature is None else {"tol": float(tol_quadrature)}
     reports.append(verify_eigenstructure(**eig_kw))

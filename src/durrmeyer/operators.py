@@ -10,6 +10,7 @@ averaged smoothing function used by the converse estimate.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,11 +190,14 @@ def apply_durrmeyer(plan: DurrmeyerPlan, f, x):
     return float(out[0]) if single else out
 
 
+@functools.lru_cache(maxsize=256)
 def _mu_factors(cfg, n, L):
+    """mu(n, ell) for ell = 0..L, zero above n; cached and read-only."""
     mu = eigenvalue_mu_all(cfg, n)
     factors = np.zeros(L + 1)
     top = min(n, L)
     factors[:top + 1] = mu[:top + 1]
+    factors.setflags(write=False)
     return factors
 
 
@@ -243,12 +247,19 @@ def build_g_n(cfg: WeightConfig, n, coeffs: SpectralCoefficients):
 
     Returns (g, t_n) where t_n is the weight total.  Satisfies the
     telescoping identity: applying the second-order operator to g equals
-    (M_n f - M_{2n} f) / t_n blockwise.
+    (M_n f - M_{2n} f) / t_n blockwise.  The block factors are computed once
+    per (cfg, n, band) and cached.
     """
     n = int(n)
     if n < 1:
         raise ValueError("need n >= 1")
-    L = coeffs.max_degree
+    factors, t_n = _g_n_factors(cfg, n, coeffs.max_degree)
+    return coeffs.scaled(factors), t_n
+
+
+@functools.lru_cache(maxsize=256)
+def _g_n_factors(cfg, n, L):
+    """Block factors of g_n (read-only) and the weight total t_n."""
     rho = cfg.rho
     ks = np.arange(n + 1, 2 * n + 1, dtype=float)
     weights = 1.0 / (ks * (ks + rho))
@@ -256,4 +267,6 @@ def build_g_n(cfg: WeightConfig, n, coeffs: SpectralCoefficients):
     factors = np.zeros(L + 1)
     for k, wk in zip(range(n + 1, 2 * n + 1), weights):
         factors += wk * _mu_factors(cfg, k, L)
-    return coeffs.scaled(factors / t_n), t_n
+    factors /= t_n
+    factors.setflags(write=False)
+    return factors, t_n

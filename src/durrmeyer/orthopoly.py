@@ -15,6 +15,7 @@ by 1 - x1.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -223,8 +224,8 @@ class TriangleBasis:
         rule = simplex_rule_2d(cfg, 2 * self.L + 2)
         raw = np.ascontiguousarray(self._eval_raw(rule.nodes).T)
         norms = np.sqrt(np.einsum("q,qb,qb->b", rule.weights, raw, raw))
-        if np.any(norms <= 0.0):
-            raise ArithmeticError("nonpositive basis norm on the triangle")
+        if not np.all(norms > 0.0):
+            raise ArithmeticError("nonpositive or NaN basis norm on the triangle")
         self._inv_norms = 1.0 / norms
 
     def flat_index(self, ell, j):
@@ -293,11 +294,13 @@ class TriangleBasis:
         return np.multiply(self._eval_raw(pts).T, self._inv_norms, order="C")
 
 
-_BASIS_CACHE: dict = {}
+_BASIS_CACHE_SIZE = 64
+_BASIS_CACHE: OrderedDict = OrderedDict()
 
 
 def get_basis(cfg: WeightConfig, L):
-    """Basis table for (cfg, L), built once and shared."""
+    """Basis table for (cfg, L), built once and shared; the 64 most recently
+    used tables stay cached."""
     if int(L) < 0:
         raise ValueError("band L = %d is negative; it must be >= 0" % int(L))
     key = (cfg, int(L))
@@ -305,6 +308,10 @@ def get_basis(cfg: WeightConfig, L):
     if basis is None:
         basis = IntervalBasis(cfg, L) if cfg.d == 1 else TriangleBasis(cfg, L)
         _BASIS_CACHE[key] = basis
+        if len(_BASIS_CACHE) > _BASIS_CACHE_SIZE:
+            _BASIS_CACHE.popitem(last=False)
+    else:
+        _BASIS_CACHE.move_to_end(key)
     return basis
 
 

@@ -11,6 +11,7 @@ integrals with the extra (1-x1) factor absorbed into the outer exponent.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,12 +66,19 @@ def _check_exponent(a, name):
 
 def gauss_jacobi_rule(a, b, m) -> QuadratureRule:
     """m-node Gauss rule on [0,1] for the weight x^a (1-x)^b, exact through
-    degree 2m - 1."""
+    degree 2m - 1.
+
+    Rules are built once per (a, b, m) and shared: the 256 most recently
+    used stay cached, and their arrays are read-only."""
     a = _check_exponent(a, "a")
     b = _check_exponent(b, "b")
     if int(m) != m or m < 1:
         raise ValueError("node count m must be a positive integer")
-    m = int(m)
+    return _gauss_jacobi_rule(a, b, int(m))
+
+
+@functools.lru_cache(maxsize=256)
+def _gauss_jacobi_rule(a, b, m):
     try:
         # scipy weight is (1-x)^alpha (1+x)^beta on [-1,1]; our x^a maps to
         # the (1+x) factor and (1-x)^b to the (1-x) factor.
@@ -79,6 +87,13 @@ def gauss_jacobi_rule(a, b, m) -> QuadratureRule:
         raise ConstructionError(f"Jacobi eigen-solver failed: {exc}") from exc
     nodes = 0.5 * (t + 1.0)
     weights = w * 2.0 ** (-(a + b + 1.0))
+    # an exponent within about 1e-12 of -1 leaves the solver's weights
+    # negative or NaN; raising here also keeps such a rule out of the cache
+    bad = int(np.count_nonzero(~(np.isfinite(weights) & (weights > 0.0))))
+    if bad:
+        raise ConstructionError(
+            "Gauss-Jacobi rule (a, b, m) = (%r, %r, %d) has %d weights that are "
+            "not finite and positive" % (a, b, m, bad))
     return QuadratureRule(nodes, weights, 2 * m - 1, (1, (a, b)))
 
 
@@ -183,7 +198,13 @@ def _chebyshev(lo, hi, count):
 
 def sup_grid() -> np.ndarray:
     """Fixed dense grid on [0,1] for sup norms: 4097 Chebyshev-spaced points
-    with 4x extra density in a window at each endpoint."""
+    with 4x extra density in a window at each endpoint.  Built once; the
+    array is read-only."""
+    return _sup_grid()
+
+
+@functools.cache
+def _sup_grid():
     base = _chebyshev(0.0, 1.0, _GRID_SIZE)
     window = base[128]
     left = _chebyshev(0.0, window, 513)
@@ -194,7 +215,13 @@ def sup_grid() -> np.ndarray:
 
 
 def sup_grid_2d() -> np.ndarray:
-    """Chebyshev tensor grid clipped to the triangle, hypotenuse included."""
+    """Chebyshev tensor grid clipped to the triangle, hypotenuse included.
+    Built once; the array is read-only."""
+    return _sup_grid_2d()
+
+
+@functools.cache
+def _sup_grid_2d():
     g = _chebyshev(0.0, 1.0, 129)
     x1, x2 = np.meshgrid(g, g, indexing="ij")
     keep = x1 + x2 <= 1.0 + 1e-12

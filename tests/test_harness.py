@@ -3,6 +3,7 @@ report plumbing that the command line interface serializes."""
 
 import dataclasses
 import math
+import struct
 import time
 
 import numpy as np
@@ -12,12 +13,16 @@ from durrmeyer import (
     CheckReport,
     CheckRow,
     WeightConfig,
+    apply_durrmeyer_spectral,
     check_lemma,
     config_for_rho,
     c_n,
     eigenvalue_mu,
     estimate_operator_norm,
+    k_exact_p2,
+    k_upper,
     run_direct,
+    run_theorem1,
     verify_bracket,
     verify_cesaro_contraction,
     verify_direct,
@@ -31,6 +36,7 @@ from durrmeyer.harness import (
     _finish,
     _rel_margin,
     _stabilization,
+    _suite_checks,
     hat_integrals,
 )
 from durrmeyer.specfun import log_gamma
@@ -229,3 +235,33 @@ def test_hat_integrals_match_adaptive_quadrature():
             for ell, value in zip(ells, got):
                 want = _hat_integral_quad(cfg, n, ell)
                 assert abs(value - want) <= 1e-10 * abs(want), (rho, n, ell)
+
+
+def _bits(value):
+    return struct.pack("<d", value) if isinstance(value, float) else value
+
+
+def test_shared_suite_pass_matches_standalone_runs_bitwise():
+    cfg = config_for_rho(0.0)
+    ps, direct_ns, thm1_ns = (1, 2, math.inf), (4, 8, 16), (4, 8)
+    shared = _suite_checks(cfg, "smoke", 7, 32, {"DIRECT": (ps, direct_ns),
+                                                "THM1": (ps, thm1_ns)})
+    alone = [run_direct(cfg, ps, direct_ns, "smoke", seed=7, band=32),
+             run_theorem1(cfg, ps, thm1_ns, "smoke", seed=7, band=32)]
+    for got, want in zip(shared, alone):
+        assert (got.check_id, got.grid, got.passed) == (want.check_id, want.grid, want.passed)
+        assert _bits(got.worst_margin) == _bits(want.worst_margin)
+        assert len(got.rows) == len(want.rows) > 0
+        for a, b in zip(got.rows, want.rows):
+            assert [_bits(v) for v in dataclasses.astuple(a)] == \
+                [_bits(v) for v in dataclasses.astuple(b)]
+    # the memoized errors and K values against direct computations
+    fresh = {f.f_id: FunctionContext(cfg, f, band=32) for f in get_suite("smoke", cfg, 7)}
+    for row in shared[0].rows:
+        fc, t = fresh[row.f_id], 1.0 / row.n
+        err = fc.ctx.norm_diff(apply_durrmeyer_spectral(cfg, row.n, fc.coeffs), row.p)
+        if row.p == 2:
+            k = k_exact_p2(cfg, fc.coeffs, t, tail_norm=fc.ctx.tail_norm)
+        else:
+            k = k_upper(cfg, fc.coeffs, t, row.p, ctx=fc.ctx)
+        assert (_bits(row.lhs), _bits(row.rhs)) == (_bits(err), _bits(2.0 * k))

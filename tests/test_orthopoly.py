@@ -7,6 +7,8 @@ quadrature identities (Gram matrix, Parseval) and exact linear-algebra facts
 (truncation, Cesaro damping).
 """
 
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from durrmeyer import (
     get_basis,
     interval_rule,
     lp_norm,
+    orthopoly,
     partial_sum,
     project,
     projection_rule,
@@ -26,8 +29,8 @@ from durrmeyer import (
     synthesize,
     weight_mass,
 )
-from durrmeyer.orthopoly import _BASIS_CACHE, _stieltjes_recurrence
-from durrmeyer.quadrature import gauss_jacobi_rule
+from durrmeyer.orthopoly import _BASIS_CACHE, TriangleBasis, _stieltjes_recurrence
+from durrmeyer.quadrature import ConstructionError, gauss_jacobi_rule
 
 FLAT = WeightConfig(1, (0.0, 0.0))
 
@@ -246,6 +249,32 @@ def test_basis_table_is_cached():
     a = get_basis(WeightConfig(1, (0.25, 0.75)), 9)
     b = get_basis(WeightConfig(1, (0.25, 0.75)), 9)
     assert a is b
+
+
+def test_basis_cache_keeps_the_most_recently_used(monkeypatch):
+    monkeypatch.setattr(orthopoly, "_BASIS_CACHE", OrderedDict())
+    monkeypatch.setattr(orthopoly, "_BASIS_CACHE_SIZE", 2)
+    first = get_basis(FLAT, 1)
+    get_basis(FLAT, 2)
+    assert get_basis(FLAT, 1) is first
+    get_basis(FLAT, 3)
+    assert list(orthopoly._BASIS_CACHE) == [(FLAT, 1), (FLAT, 3)]
+    assert get_basis(FLAT, 2) is not None
+    assert list(orthopoly._BASIS_CACHE) == [(FLAT, 3), (FLAT, 2)]
+
+
+def test_triangle_basis_near_minus_one():
+    with pytest.raises(ConstructionError, match=r"\(a, b, m\)"):
+        TriangleBasis(WeightConfig(2, (-1.0 + 1e-12, 0.5, 0.5)), 40)
+    basis = TriangleBasis(WeightConfig(2, (-1.0 + 1e-10, 0.5, 0.5)), 40)
+    assert np.all(np.isfinite(basis._inv_norms)) and np.all(basis._inv_norms > 0.0)
+
+
+def test_triangle_basis_rejects_nan_norms(monkeypatch):
+    monkeypatch.setattr(TriangleBasis, "_eval_raw",
+                        lambda self, pts: np.full((self.size, len(pts)), np.nan))
+    with pytest.raises(ArithmeticError, match="NaN basis norm"):
+        TriangleBasis(WeightConfig(2, (0.0, 0.0, 0.0)), 3)
 
 
 @pytest.mark.parametrize("cfg", [FLAT, WeightConfig(2, (0.0, 0.0, 0.0))])

@@ -2,8 +2,9 @@
 scalar golden-section search it replaced, the flat coefficient container
 against blockwise arithmetic, the log-gamma ratio's symmetry and recurrence,
 the successive-degree eigenvalue identity, the 2-D Bernstein kernel
-against the 3-D one it replaced, and the triangle basis against the
-per-j recurrence it replaced.
+against the 3-D one it replaced, the triangle basis against the
+per-j recurrence it replaced, and the memoized eigenvalue factors and
+Gauss rules against fresh computations.
 
 Examples are bounded and derandomized so the suite stays fast and repeatable.
 """
@@ -16,11 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from durrmeyer import SpectralCoefficients, WeightConfig, k_exact_p2
-from durrmeyer.operators import _bernstein_matrix, _log_multinomial, index_range
+from durrmeyer.operators import (_bernstein_matrix, _g_n_factors, _log_multinomial,
+                                 _mu_factors, index_range)
 from durrmeyer.orthopoly import TriangleBasis, _jacobi_recurrence_terms, block_size
-from durrmeyer.quadrature import simplex_rule_2d
+from durrmeyer.quadrature import _gauss_jacobi_rule, gauss_jacobi_rule, simplex_rule_2d
 from durrmeyer.specfun import gamma_ratio_log
-from durrmeyer.spectrum import log_mu_all
+from durrmeyer.spectrum import config_for_rho, log_mu_all
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -302,8 +304,7 @@ def _triangle_raw_per_j(cfg, L, pts):
 
 
 def _same_bits(a, b):
-    # bit patterns, so signed zeros count and NaNs compare: weights within
-    # about 1e-12 of -1 get negative simplex-rule weights and NaN norms
+    # bit patterns, so signed zeros count and NaNs compare
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
@@ -322,3 +323,33 @@ def test_triangle_basis_equals_per_j_reference_bitwise(alphas, L, extra):
     got = basis.eval_all(pts)
     assert got.flags.c_contiguous
     assert _same_bits(got, _triangle_raw_per_j(cfg, L, pts) * basis._inv_norms)
+
+
+@PROPERTY
+@given(st.floats(-0.99, 6.0), st.integers(1, 300), st.integers(0, 80))
+def test_memoized_factors_are_read_only_and_equal_fresh_bitwise(rho, n, L):
+    cfg = config_for_rho(rho)
+    mu = _mu_factors(cfg, n, L)
+    assert not mu.flags.writeable
+    assert _same_bits(mu, _mu_factors.__wrapped__(cfg, n, L))
+
+    factors, t_n = _g_n_factors(cfg, n, L)
+    assert not factors.flags.writeable
+    ks = np.arange(n + 1, 2 * n + 1, dtype=float)
+    weights = 1.0 / (ks * (ks + cfg.rho))
+    fresh = np.zeros(L + 1)
+    for k, wk in zip(range(n + 1, 2 * n + 1), weights):
+        fresh += wk * _mu_factors.__wrapped__(cfg, k, L)
+    assert _same_bits(np.array([t_n]), np.array([float(weights.sum())]))
+    assert _same_bits(factors, fresh / t_n)
+
+
+@PROPERTY
+@given(st.floats(-0.99, 4.0), st.floats(-0.99, 4.0), st.integers(1, 120))
+def test_memoized_gauss_rule_is_read_only_and_equals_fresh_bitwise(a, b, m):
+    rule = gauss_jacobi_rule(a, b, m)
+    assert gauss_jacobi_rule(a, b, m) is rule
+    fresh = _gauss_jacobi_rule.__wrapped__(a, b, m)
+    for got, want in ((rule.nodes, fresh.nodes), (rule.weights, fresh.weights)):
+        assert not got.flags.writeable
+        assert _same_bits(got, want)

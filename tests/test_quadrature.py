@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from durrmeyer.quadrature import (ConstructionError, QuadratureRule,
+                                  _gauss_jacobi_rule, _sup_grid, _sup_grid_2d,
                                   gauss_jacobi_rule, interval_rule, lp_norm,
                                   simplex_rule_2d, sup_grid, sup_grid_2d,
                                   weight_mass)
@@ -210,3 +211,23 @@ def test_rules_are_immutable():
     rule = gauss_jacobi_rule(0.0, 0.0, 4)
     with pytest.raises(ValueError):
         rule.nodes[0] = 0.5
+
+
+def test_gauss_rule_near_minus_one_raises_and_is_not_cached():
+    # the solver's weights at this exponent: 41 of 42 negative or NaN
+    before = _gauss_jacobi_rule.cache_info()
+    for _ in range(2):
+        with pytest.raises(ConstructionError,
+                           match=r"\(a, b, m\) = \(-0\.999999999999, 0\.5, 42\)"):
+            gauss_jacobi_rule(-1.0 + 1e-12, 0.5, 42)
+    assert _gauss_jacobi_rule.cache_info().hits == before.hits
+    rule = gauss_jacobi_rule(-1.0 + 1e-10, 0.5, 42)
+    assert np.all(np.isfinite(rule.weights)) and np.all(rule.weights > 0.0)
+
+
+def test_sup_grids_are_built_once_and_read_only():
+    for public, builder in ((sup_grid, _sup_grid), (sup_grid_2d, _sup_grid_2d)):
+        grid = public()
+        assert public() is grid
+        assert not grid.flags.writeable
+        assert np.array_equal(grid, builder.__wrapped__())
