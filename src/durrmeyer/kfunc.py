@@ -12,6 +12,7 @@ list, together with the operator-difference lower bound.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -152,7 +153,11 @@ def norm_rule(cfg: WeightConfig, L, kinks=()):
 
 class NormContext:
     """Caches rule nodes, sup grid, basis synthesis matrices and f-values so
-    repeated norms against one f are matrix-vector products."""
+    repeated norms against one f are matrix-vector products.
+
+    Norms at p = 2 come from Parseval, so the synthesis matrices and the
+    f-values on the grid are built on first use at another p; only f on
+    the rule nodes is needed up front, for the tail norm."""
 
     def __init__(self, cfg, f_coeffs, f_fn=None, kinks=(), rule=None, grid=None):
         self.cfg = cfg
@@ -160,12 +165,11 @@ class NormContext:
         self.kinks = tuple(kinks)
         self.rule = rule if rule is not None else norm_rule(cfg, f_coeffs.max_degree, self.kinks)
         self.grid = grid if grid is not None else sup_points(cfg, self.kinks)
-        basis = get_basis(cfg, f_coeffs.max_degree)
-        self.mat_rule = basis.eval_all(self.rule.nodes)
-        self.mat_grid = basis.eval_all(self.grid)
+        self._basis = get_basis(cfg, f_coeffs.max_degree)
+        self._f_fn = f_fn
         if f_fn is not None:
+            # an instance attribute, so the f_rule property below is unused
             self.f_rule = np.asarray(f_fn(self.rule.nodes), dtype=float)
-            self.f_grid = np.asarray(f_fn(self.grid), dtype=float)
             energy = self.coeffs.norm2() ** 2
             total = lp_norm(self.f_rule, self.rule, 2) ** 2
             self.tail_norm = math.sqrt(max(total - energy, 0.0))
@@ -173,10 +177,25 @@ class NormContext:
             # f is its own band synthesis, so the tail is zero by
             # construction; recomputing it through quadrature would
             # leave rounding noise that k_lower treats as a real tail.
-            flat = f_coeffs.flat()
-            self.f_rule = self.mat_rule @ flat
-            self.f_grid = self.mat_grid @ flat
             self.tail_norm = 0.0
+
+    @functools.cached_property
+    def mat_rule(self):
+        return self._basis.eval_all(self.rule.nodes)
+
+    @functools.cached_property
+    def mat_grid(self):
+        return self._basis.eval_all(self.grid)
+
+    @functools.cached_property
+    def f_rule(self):
+        return self.mat_rule @ self.coeffs.flat()
+
+    @functools.cached_property
+    def f_grid(self):
+        if self._f_fn is not None:
+            return np.asarray(self._f_fn(self.grid), dtype=float)
+        return self.mat_grid @ self.coeffs.flat()
 
     def norm_f(self, p):
         if p == math.inf:

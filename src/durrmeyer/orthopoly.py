@@ -206,6 +206,11 @@ def _jacobi_recurrence_terms(m, A, B):
     return c1, c2, c3, c4
 
 
+# Bytes of raw values per block of TriangleBasis.eval_all: the whole sup
+# grid's are 22 MB at band 24 and 38 MB at band 32.
+_EVAL_BLOCK_BYTES = 8_000_000
+
+
 class TriangleBasis:
     """Orthonormal total-degree basis on the triangle for d = 2 weights.
 
@@ -286,12 +291,21 @@ class TriangleBasis:
     def eval_all(self, pts) -> np.ndarray:
         """Matrix of basis values, shape (npoints, (L+1)(L+2)/2), C order.
 
-        The transpose of the row-major raw values happens inside the
-        normalization multiply, which allocates the output anyway: every
-        value is the same product as in a column-by-column fill, and no
-        transposed copy is held beside the two full matrices.
+        The points are evaluated in blocks of at most _EVAL_BLOCK_BYTES of
+        raw values (three blocks for the sup grid at band 24).  The
+        transpose of each block's row-major raw values happens inside the
+        normalization multiply that writes the block of the output: every
+        value is the same product as in a column-by-column fill, and beside
+        the output only one block of raw values is held, not a second full
+        matrix.
         """
-        return np.multiply(self._eval_raw(pts).T, self._inv_norms, order="C")
+        pts = np.asarray(pts, dtype=float)
+        out = np.empty((pts.shape[0], self.size))
+        block = max(1, _EVAL_BLOCK_BYTES // (8 * self.size))
+        for start in range(0, pts.shape[0], block):
+            rows = slice(start, start + block)
+            np.multiply(self._eval_raw(pts[rows]).T, self._inv_norms, out=out[rows])
+        return out
 
 
 _BASIS_CACHE_SIZE = 64

@@ -15,6 +15,7 @@ from durrmeyer import (
     NormContext,
     SpectralCoefficients,
     WeightConfig,
+    apply_durrmeyer_spectral,
     config_for_rho,
     default_candidates,
     eigenvalue_mu,
@@ -23,9 +24,11 @@ from durrmeyer import (
     k_lower,
     k_upper,
     k_upper_detail,
+    lp_norm,
     project,
     projection_rule,
 )
+from durrmeyer.orthopoly import get_basis
 from durrmeyer.suite import get_suite
 
 FLAT = WeightConfig(1, (0.0, 0.0))
@@ -190,6 +193,49 @@ def test_lower_requires_resolved_band():
     assert k_lower(FLAT, coeffs, L, 2, ctx=ctx) > 0.0
     with pytest.raises(ValueError):
         k_lower(FLAT, coeffs, L + 1, 2, ctx=ctx)
+
+
+@pytest.mark.parametrize("cfg, with_fn", [(FLAT, True), (FLAT, False),
+                                           (WeightConfig(2, (0.0, 0.5, 0.0)), False)])
+def test_norm_context_builds_matrices_on_first_use_at_p_not_2(cfg, with_fn, monkeypatch):
+    L = 24 if cfg.d == 1 else 8
+    tf = next(t for t in get_suite("kink", FLAT) if t.f_id == "kink-abs")
+    if with_fn:
+        coeffs = project(tf, cfg, L)
+    else:
+        size = L + 1 if cfg.d == 1 else (L + 1) * (L + 2) // 2
+        coeffs = SpectralCoefficients.from_flat(
+            cfg, np.random.default_rng(206).uniform(-1.0, 1.0, size))
+    basis = get_basis(cfg, L)
+    calls = []
+    real_eval_all = type(basis).eval_all
+    monkeypatch.setattr(type(basis), "eval_all",
+                        lambda self, x: calls.append(len(x)) or real_eval_all(self, x))
+    f_fn = tf.fn if with_fn else None
+    ctx = NormContext(cfg, coeffs, f_fn=f_fn, kinks=tf.kinks if with_fn else ())
+    g = apply_durrmeyer_spectral(cfg, 4, coeffs)
+    ctx.norm_diff(g, 2), ctx.norm_band(g, 2)
+    k_bracket(cfg, coeffs, 4, 2, ctx=ctx)
+    assert calls == []
+
+    # the values a context that builds everything up front would give
+    mat_rule, mat_grid = basis.eval_all(ctx.rule.nodes), basis.eval_all(ctx.grid)
+    if with_fn:
+        f_rule, f_grid = tf.fn(ctx.rule.nodes), tf.fn(ctx.grid)
+    else:
+        f_rule, f_grid = mat_rule @ coeffs.flat(), mat_grid @ coeffs.flat()
+    flat = g.flat()
+    want = {1: (lp_norm(f_rule, ctx.rule, 1),
+                lp_norm(f_rule - mat_rule @ flat, ctx.rule, 1),
+                lp_norm(mat_rule @ flat, ctx.rule, 1)),
+            math.inf: (float(np.max(np.abs(f_grid))),
+                       float(np.max(np.abs(f_grid - mat_grid @ flat))),
+                       float(np.max(np.abs(mat_grid @ flat))))}
+    del calls[:]
+    for p in (math.inf, 1):
+        assert (ctx.norm_f(p), ctx.norm_diff(g, p), ctx.norm_band(g, p)) == want[p]
+    # one synthesis per point set, on first use only
+    assert sorted(calls) == sorted([len(ctx.rule.nodes), len(ctx.grid)])
 
 
 def test_bracket_container_invariant():

@@ -35,7 +35,8 @@ from durrmeyer import (
     simplex_rule_2d,
     synthesize,
 )
-from durrmeyer.operators import _bernstein_matrix
+from durrmeyer import operators
+from durrmeyer.operators import _bernstein_matrix, _bernstein_sum
 from durrmeyer.quadrature import sup_grid
 
 FLAT = WeightConfig(1, (0.0, 0.0))
@@ -73,16 +74,63 @@ def test_partition_of_unity_on_the_sup_grid_at_high_degree():
     assert np.max(np.abs(total - 1.0)) <= 1e-12
 
 
+# the matrix kernel and the sum kernel, called as kernel(n, d, pts)
+KERNELS = (lambda n, d, pts: _bernstein_matrix(n, index_range(n, d), pts),
+           lambda n, d, pts: _bernstein_sum(n, np.ones(len(index_range(n, d))), pts))
+
+
 def test_points_outside_the_domain_raise():
     # 1e-12 of slack absorbs rounding at the boundary; beyond it is an error
-    for x in (-2e-12, 1.0 + 2e-12):
-        with pytest.raises(ValueError, match="outside the closed domain"):
-            _bernstein_matrix(5, index_range(5, 1), np.array([[0.5], [x]]))
-    for pt in ((-2e-12, 0.5), (0.5, -2e-12), (0.6, 0.4 + 2e-12)):
-        with pytest.raises(ValueError, match="outside the closed domain"):
-            _bernstein_matrix(5, index_range(5, 2), np.array([pt]))
-    inside = _bernstein_matrix(5, index_range(5, 1), np.array([[-5e-13], [1.0 + 5e-13]]))
+    for kernel in KERNELS:
+        for x in (-2e-12, 1.0 + 2e-12):
+            with pytest.raises(ValueError, match="outside the closed domain"):
+                kernel(5, 1, np.array([[0.5], [x]]))
+        for pt in ((-2e-12, 0.5), (0.5, -2e-12), (0.6, 0.4 + 2e-12)):
+            with pytest.raises(ValueError, match="outside the closed domain"):
+                kernel(5, 2, np.array([pt]))
+    edge = np.array([[-5e-13], [1.0 + 5e-13]])
+    inside = _bernstein_matrix(5, index_range(5, 1), edge)
     assert np.allclose(inside[:, 0], np.eye(6)[0]) and np.allclose(inside[:, 1], np.eye(6)[5])
+    a = np.arange(6.0)
+    assert np.allclose(_bernstein_sum(5, a, edge), [0.0, 5.0])
+    corners = np.array([(-5e-13, 1.0 + 5e-13), (1.0 + 5e-13, -5e-13), (0.6, 0.4 + 5e-13)])
+    a2 = np.arange(len(index_range(5, 2)), dtype=float)
+    assert np.allclose(_bernstein_sum(5, a2, corners),
+                       a2 @ _bernstein_matrix(5, index_range(5, 2), corners))
+
+
+def test_off_node_application_never_builds_the_matrix(monkeypatch):
+    plans = [(make_plan(FLAT, 12), np.linspace(0.0, 1.0, 9)),
+             (make_plan(WeightConfig(2, (0.0, 0.0, 0.0)), 5),
+              triangle_points(np.random.default_rng(113), 9))]
+
+    def forbidden(*args):
+        raise AssertionError("off-node application built the Bernstein matrix")
+
+    monkeypatch.setattr(operators, "_bernstein_matrix", forbidden)
+    for plan, x in plans:
+        got = apply_durrmeyer(plan, lambda p: np.ones(len(p)), x)
+        assert np.max(np.abs(got - 1.0)) <= 1e-12
+
+
+def test_non_finite_points_raise():
+    plan1, plan2 = make_plan(FLAT, 4), make_plan(WeightConfig(2, (0.0, 0.0, 0.0)), 4)
+    ones = lambda p: np.ones(len(p))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="non-finite evaluation point"):
+            apply_durrmeyer(plan1, ones, [0.2, bad])
+        with pytest.raises(ValueError, match="non-finite evaluation point"):
+            apply_durrmeyer(plan2, ones, np.array([(0.2, 0.3), (bad, 0.1)]))
+        with pytest.raises(ValueError, match="non-finite evaluation point"):
+            bernstein_basis(BernsteinIndex(3, (1,)), np.array([0.5, bad]))
+        with pytest.raises(ValueError, match="non-finite evaluation point"):
+            bernstein_basis(BernsteinIndex(3, (1, 1)), np.array([0.1, bad]))
+        for kernel in KERNELS:
+            for d in (1, 2):
+                pts = np.full((2, d), 0.25)
+                pts[1, -1] = bad
+                with pytest.raises(ValueError, match="non-finite evaluation point"):
+                    kernel(3, d, pts)
 
 
 def test_bernstein_spot_values():
@@ -303,9 +351,14 @@ def test_own_node_application_reuses_stored_bernstein_values():
                    (WeightConfig(2, (0.0, 0.5, 0.0)), 6)]:
         plan = make_plan(cfg, n, f_degree=4)
         nodes = plan.rule.nodes
-        # a copy of the nodes takes the path that rebuilds the matrix
-        assert np.array_equal(apply_durrmeyer(plan, f, nodes),
-                              apply_durrmeyer(plan, f, nodes.copy()))
+        fvals = f(nodes)
+        averages = (plan.basis_at_nodes @ (plan.rule.weights * fvals)) / plan.moments
+        own = apply_durrmeyer(plan, f, nodes)
+        assert np.array_equal(own, averages @ plan.basis_at_nodes)
+        # a copy of the nodes takes the off-node path, the Bernstein sum
+        copied = apply_durrmeyer(plan, f, nodes.copy())
+        tol = 16.0 * np.finfo(float).eps * (n + 1) * np.max(np.abs(averages))
+        assert np.max(np.abs(copied - own)) <= tol
 
 
 def test_g_n_telescoping():

@@ -29,8 +29,9 @@ from durrmeyer import (
     synthesize,
     weight_mass,
 )
+from durrmeyer import orthopoly
 from durrmeyer.orthopoly import _BASIS_CACHE, TriangleBasis, _stieltjes_recurrence
-from durrmeyer.quadrature import ConstructionError, gauss_jacobi_rule
+from durrmeyer.quadrature import ConstructionError, gauss_jacobi_rule, sup_grid_2d
 
 FLAT = WeightConfig(1, (0.0, 0.0))
 
@@ -261,6 +262,17 @@ def test_basis_cache_keeps_the_most_recently_used(monkeypatch):
     assert list(orthopoly._BASIS_CACHE) == [(FLAT, 1), (FLAT, 3)]
     assert get_basis(FLAT, 2) is not None
     assert list(orthopoly._BASIS_CACHE) == [(FLAT, 3), (FLAT, 2)]
+
+
+def test_triangle_basis_blocks_equal_one_pass_bitwise(monkeypatch):
+    basis = TriangleBasis(WeightConfig(2, (0.5, -0.5, 1.0)), 12)
+    # blocks of 100 points: two full blocks and a partial last one
+    monkeypatch.setattr(orthopoly, "_EVAL_BLOCK_BYTES", 8 * basis.size * 100)
+    pts = sup_grid_2d()[:207]
+    got = basis.eval_all(pts)
+    want = np.multiply(basis._eval_raw(pts).T, basis._inv_norms, order="C")
+    assert got.flags.c_contiguous
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_triangle_basis_near_minus_one():

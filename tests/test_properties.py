@@ -2,7 +2,8 @@
 scalar golden-section search it replaced, the flat coefficient container
 against blockwise arithmetic, the log-gamma ratio's symmetry and recurrence,
 the successive-degree eigenvalue identity, the 2-D Bernstein kernel
-against the 3-D one it replaced, the triangle basis against the
+against the 3-D one it replaced, the mode-anchored Bernstein sum against
+the Bernstein matrix, the triangle basis against the
 per-j recurrence it replaced, and the memoized eigenvalue factors and
 Gauss rules against fresh computations.
 
@@ -17,8 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from durrmeyer import SpectralCoefficients, WeightConfig, k_exact_p2
-from durrmeyer.operators import (_bernstein_matrix, _g_n_factors, _log_multinomial,
-                                 _mu_factors, index_range)
+from durrmeyer.operators import (_bernstein_matrix, _bernstein_sum, _g_n_factors,
+                                 _log_multinomial, _mu_factors, index_range)
 from durrmeyer.orthopoly import TriangleBasis, _jacobi_recurrence_terms, block_size
 from durrmeyer.quadrature import _gauss_jacobi_rule, gauss_jacobi_rule, simplex_rule_2d
 from durrmeyer.specfun import gamma_ratio_log
@@ -266,6 +267,57 @@ def test_bernstein_kernel_equals_3d_reference_bitwise(n, drawn):
     indices = index_range(n, d)
     got = _bernstein_matrix(n, indices, pts)
     assert np.array_equal(got, _bernstein_matrix_3d(n, indices, pts))
+
+
+# The sum kernel and the matrix round differently; 16 is about twice the
+# worst ratio of |sum - matrix| to (n+1) eps max|a| in a sweep of n = 0..2048
+# (d = 1) and 0..64 (d = 2) over all-ones, random and per-point coefficients.
+SUM_TOL = 16.0 * np.finfo(float).eps
+
+
+def _sum_reference(n, indices, a, pts):
+    matrix = _bernstein_matrix(n, indices, pts)
+    return a @ matrix if a.ndim == 1 else (a * matrix).sum(axis=0)
+
+
+@PROPERTY
+@given(st.integers(0, 2048), st.lists(unit_interval, max_size=6),
+       st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_bernstein_sum_matches_matrix_interval(n, extra, seed, per_point):
+    pts = np.array([0.0, 1.0, 0.5, 1e-300, 1.0 - 1e-16] + extra).reshape(-1, 1)
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-1.0, 1.0, (n + 1, pts.shape[0]) if per_point else n + 1)
+    got = _bernstein_sum(n, a, pts)
+    want = _sum_reference(n, index_range(n, 1), a, pts)
+    assert np.max(np.abs(got - want)) <= SUM_TOL * (n + 1) * np.max(np.abs(a))
+
+
+@PROPERTY
+@given(st.integers(0, 64), st.lists(triangle_points(), max_size=6),
+       st.integers(0, 2 ** 32 - 1))
+def test_bernstein_sum_matches_matrix_triangle(n, extra, seed):
+    pts = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.5, 0.5),
+                    (0.3, 0.0), (0.0, 0.3), (0.3, 0.7)] + extra)
+    indices = index_range(n, 2)
+    a = np.random.default_rng(seed).uniform(-1.0, 1.0, len(indices))
+    got = _bernstein_sum(n, a, pts)
+    want = _sum_reference(n, indices, a, pts)
+    assert np.max(np.abs(got - want)) <= SUM_TOL * (n + 1) * np.max(np.abs(a))
+
+
+def test_bernstein_sum_at_degree_4096():
+    n = 4096
+    rng = np.random.default_rng(4096)
+    pts = np.concatenate([[0.0, 1.0, 0.5, 1e-300, 1.0 - 1e-16],
+                          rng.uniform(0.0, 1.0, 400)]).reshape(-1, 1)
+    matrix = _bernstein_matrix(n, index_range(n, 1), pts)
+    ones = _bernstein_sum(n, np.ones(n + 1), pts)
+    assert np.all(np.isfinite(ones))
+    assert np.max(np.abs(ones - 1.0)) <= np.max(np.abs(matrix.sum(axis=0) - 1.0))
+    a = rng.uniform(-1.0, 1.0, n + 1)
+    got = _bernstein_sum(n, a, pts)
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - a @ matrix)) <= SUM_TOL * (n + 1) * np.max(np.abs(a))
 
 
 def _triangle_raw_per_j(cfg, L, pts):
