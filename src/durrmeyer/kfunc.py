@@ -168,8 +168,6 @@ class NormContext:
         self._basis = get_basis(cfg, f_coeffs.max_degree)
         self._f_fn = f_fn
         if f_fn is not None:
-            # an instance attribute, so the f_rule property below is unused
-            self.f_rule = np.asarray(f_fn(self.rule.nodes), dtype=float)
             energy = self.coeffs.norm2() ** 2
             total = lp_norm(self.f_rule, self.rule, 2) ** 2
             self.tail_norm = math.sqrt(max(total - energy, 0.0))
@@ -189,6 +187,8 @@ class NormContext:
 
     @functools.cached_property
     def f_rule(self):
+        if self._f_fn is not None:
+            return np.asarray(self._f_fn(self.rule.nodes), dtype=float)
         return self.mat_rule @ self.coeffs.flat()
 
     @functools.cached_property

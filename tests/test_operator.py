@@ -39,6 +39,10 @@ from durrmeyer import operators
 from durrmeyer.operators import _bernstein_matrix, _bernstein_sum
 from durrmeyer.quadrature import sup_grid
 
+# The Bernstein kernels must not divide by zero, overflow or produce NaN
+# on the way to a finite result.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 FLAT = WeightConfig(1, (0.0, 0.0))
 
 

@@ -25,6 +25,10 @@ from durrmeyer.quadrature import _gauss_jacobi_rule, gauss_jacobi_rule, simplex_
 from durrmeyer.specfun import gamma_ratio_log
 from durrmeyer.spectrum import config_for_rho, log_mu_all
 
+# The Bernstein kernels must not divide by zero, overflow or produce NaN
+# on the way to a finite result.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 _LAM2_GRID = np.exp(np.linspace(np.log(1e-18), np.log(1e18), 481))
