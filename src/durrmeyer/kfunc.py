@@ -1,8 +1,9 @@
 """K-functional estimation.
 
 At p = 2 the infimum restricted to the spectral band is computed exactly by
-diagonal shrinkage plus a one-dimensional search over the trade-off
-parameter; orthogonality makes the band restriction optimal for
+diagonal shrinkage: a log-grid sweep over the trade-off parameter brackets
+the minimizer, and a regula falsi on its first-order optimality condition
+closes the bracket.  Orthogonality makes the band restriction optimal for
 band-limited f.  For f with energy above the band the known tail norm is
 carried through the fidelity term, which keeps the result an upper bound
 while staying within tail-squared of the banded optimum.  For p other than
@@ -29,7 +30,10 @@ _LAM2_GRID = np.exp(np.linspace(np.log(1e-18), np.log(1e18), 481))
 # arguments, and the K values (and the report-all output built on them) are
 # kept bit-identical to the one-t-per-call search.
 _LOG_LAM2_GRID = np.array([math.log(v) for v in _LAM2_GRID])
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Width in log s at which a bracket counts as closed.  The objective is
+# stationary at the minimizer, so an error d in log s moves K by O(d^2)
+# relative: below an ulp at this width.
+_X_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -52,10 +56,9 @@ def _lambda_factors(cfg: WeightConfig, L) -> np.ndarray:
     return ell * (ell + cfg.rho)
 
 
-def _p2_value(b, lam, lam_sq, t, tail2, lam2):
-    """Objective sqrt(|f-g|^2 + tail^2) + t |P g| at the diagonal shrinkage
-    points g = b / (1 + lam2 * lam^2), one per lam2; t broadcasts against
-    them."""
+def _p2_terms(b, lam, lam_sq, tail2, lam2):
+    """sqrt(|f-g|^2 + tail^2) and |P g| at the diagonal shrinkage points
+    g = b / (1 + lam2 * lam^2), one pair per lam2."""
     shrink = np.multiply.outer(lam2, lam_sq)
     shrink += 1.0
     np.divide(1.0, shrink, out=shrink)
@@ -66,7 +69,7 @@ def _p2_value(b, lam, lam_sq, t, tail2, lam2):
     shrink *= b
     shrink *= lam
     shrink *= shrink
-    return fid + t * np.sqrt(shrink.sum(axis=1))
+    return fid, np.sqrt(shrink.sum(axis=1))
 
 
 def _exp(xs):
@@ -77,55 +80,70 @@ def k_exact_p2(cfg: WeightConfig, f: SpectralCoefficients, t, tail_norm=0.0):
     """min over g of ||f - g||_2 + t ||P g||_2, over the band of f.
 
     The one-parameter family g(s) = f_ell / (1 + s lambda_ell^2) traces the
-    Pareto frontier of the two norms; a log-grid sweep plus golden-section
-    refinement locates the minimizing s deterministically.  t may be a
-    scalar (returns a float) or an array (returns an array of its shape):
-    the searches for all t run in lockstep, one objective evaluation per
-    step for every t, and each gives the value of a call with that t alone.
+    Pareto frontier of the two norms.  Along it dA/ds = -s dB/ds < 0 for
+    A = |f - g|^2 and B = |P g|^2, so the objective's slope has the sign of
+    psi(s) = s sqrt(B) - t sqrt(A + tail^2), which changes sign once.  A
+    log-grid sweep brackets the minimizer, and a safeguarded Illinois
+    regula falsi on psi in log s closes the bracket; where psi does not
+    change sign across it (t = 0, P f = 0, a minimizer at a grid edge) the
+    grid value stands.  The limits keep-f (s = 0) and keep-mean (s = inf,
+    the value at t = inf) bound the result.
+
+    t may be a scalar (returns a float) or an array (returns an array of
+    its shape): the searches for all t run in lockstep, one objective
+    evaluation per step for every open bracket, and each gives the value of
+    a call with that t alone.
     """
     t_arr = np.array(t, dtype=float)
-    if np.any(t_arr < 0.0):
-        raise ValueError("t must be >= 0")
-    ts = t_arr.reshape(-1)
-    tail2 = float(tail_norm) ** 2
+    if not (t_arr >= 0.0).all():
+        raise ValueError("t must be >= 0, got %r" % (t,))
+    tail = float(tail_norm)
+    if not 0.0 <= tail < math.inf:
+        raise ValueError("tail_norm must be finite and >= 0, got %r" % (tail_norm,))
+    tail2 = tail ** 2
+    at_inf = t_arr.reshape(-1) == math.inf
+    ts = np.where(at_inf, 0.0, t_arr.reshape(-1))  # t = inf is keep-mean below
     b = f.block_norms()
     lam = _lambda_factors(cfg, f.max_degree)
     lam_sq = lam * lam
-    values = _p2_value(b, lam, lam_sq, ts[:, None], tail2, _LAM2_GRID)
+    fid, rough = _p2_terms(b, lam, lam_sq, tail2, _LAM2_GRID)
+    values = fid + ts[:, None] * rough
     i = np.argmin(values, axis=1)
     best = values[np.arange(ts.size), i]
-    lo = _LOG_LAM2_GRID[np.maximum(i - 1, 0)]
-    hi = _LOG_LAM2_GRID[np.minimum(i + 1, _LAM2_GRID.size - 1)]
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1 = _p2_value(b, lam, lam_sq, ts, tail2, _exp(x1))
-    f2 = _p2_value(b, lam, lam_sq, ts, tail2, _exp(x2))
-    # Per-t search state [lo, x1, x2, hi, f1, f2] in Python floats: on
-    # arrays of a few dozen entries numpy's per-call cost exceeds this
-    # bookkeeping, while the objective is evaluated for all t at once.
-    state = [list(row) for row in zip(lo.tolist(), x1.tolist(), x2.tolist(),
-                                      hi.tolist(), f1.tolist(), f2.tolist())]
-    for _ in range(72):
-        moves = []
-        for row in state:
-            lo, x1, x2, hi, f1, f2 = row
-            if f1 <= f2:
-                # keep [lo, x2]; x1 becomes its upper interior point
-                row[:] = lo, None, x1, x2, None, f1
-                moves.append((1, x2 - _GOLDEN * (x2 - lo)))
-            else:
-                # keep [x1, hi]; x2 becomes its lower interior point
-                row[:] = x1, x2, None, hi, f2, None
-                moves.append((2, x1 + _GOLDEN * (hi - x1)))
-        f_new = _p2_value(b, lam, lam_sq, ts, tail2, _exp([x for _, x in moves]))
-        for row, (slot, x), fx in zip(state, moves, f_new.tolist()):
-            row[slot], row[slot + 3] = x, fx
-    best = np.minimum(best, [min(row[4], row[5]) for row in state])
+    ilo = np.maximum(i - 1, 0)
+    ihi = np.minimum(i + 1, _LAM2_GRID.size - 1)
+    psi_lo = _LAM2_GRID[ilo] * rough[ilo] - ts * fid[ilo]
+    psi_hi = _LAM2_GRID[ihi] * rough[ihi] - ts * fid[ihi]
+    idx = np.flatnonzero((psi_lo < 0.0) & (psi_hi > 0.0))
+    lo, hi = _LOG_LAM2_GRID[ilo[idx]], _LOG_LAM2_GRID[ihi[idx]]
+    psi_lo, psi_hi = psi_lo[idx], psi_hi[idx]
+    kept = np.zeros(idx.size)  # end kept by the last step: -1 lo, +1 hi
+    while idx.size:
+        x = hi - psi_hi * ((hi - lo) / (psi_hi - psi_lo))
+        off = ~((lo < x) & (x < hi))
+        x[off] = 0.5 * (lo[off] + hi[off])
+        s = _exp(x)
+        fid, rough = _p2_terms(b, lam, lam_sq, tail2, s)
+        t_open = ts[idx]
+        best[idx] = np.minimum(best[idx], fid + t_open * rough)
+        psi = s * rough - t_open * fid
+        right = psi > 0.0  # the root lies left of x
+        # Illinois: an end kept a second time in a row has its psi halved
+        psi_lo[right & (kept < 0)] *= 0.5
+        psi_hi[~right & (kept > 0)] *= 0.5
+        hi = np.where(right, x, hi)
+        psi_hi = np.where(right, psi, psi_hi)
+        lo = np.where(right, lo, x)
+        psi_lo = np.where(right, psi_lo, psi)
+        kept = np.where(right, -1.0, 1.0)
+        still = (hi - lo > _X_TOL) & (psi != 0.0)
+        idx, lo, hi, psi_lo, psi_hi, kept = (
+            a[still] for a in (idx, lo, hi, psi_lo, psi_hi, kept))
     # limits of the family: keep f (all fidelity in the tail) or keep only
     # the constant block (no roughness)
     keep_f = math.sqrt(tail2) + ts * float(np.sqrt(((lam * b) ** 2).sum()))
     keep_mean = math.sqrt(float((b[1:] * b[1:]).sum()) + tail2)
-    out = np.minimum(np.minimum(best, keep_f), keep_mean)
+    out = np.where(at_inf, keep_mean, np.minimum(np.minimum(best, keep_f), keep_mean))
     return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
 
 
@@ -252,8 +270,8 @@ def k_upper_detail(cfg: WeightConfig, f: SpectralCoefficients, t, p, *,
     that already holds it for this t and ctx.tail_norm passes it as `exact`
     and the search is not repeated."""
     t = float(t)
-    if t < 0.0:
-        raise ValueError("t must be >= 0")
+    if not t >= 0.0:
+        raise ValueError("t must be >= 0, got %r" % t)
     if ctx is None:
         ctx = NormContext(cfg, f)
     if candidates is None:

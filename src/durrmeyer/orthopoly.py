@@ -177,15 +177,24 @@ class IntervalBasis:
         self.size = self.L + 1
 
     def eval_all(self, x) -> np.ndarray:
-        """Matrix of basis values, shape (npoints, L+1)."""
+        """Matrix of basis values, shape (npoints, L+1), C order.
+
+        The recurrence carries the last two degrees as contiguous vectors
+        and writes each new degree into its strided column once, never
+        reading a column back: the values are those of a column-by-column
+        fill, and beside the output only three vectors are held.
+        """
         x = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.empty((x.size, self.L + 1))
         a, sqb = self._rec_a, self._rec_sqb
-        out[:, 0] = 1.0 / sqb[0]
+        prev = np.full(x.size, 1.0 / sqb[0])
+        out[:, 0] = prev
         if self.L >= 1:
-            out[:, 1] = (x - a[0]) * out[:, 0] / sqb[1]
+            cur = (x - a[0]) * prev / sqb[1]
+            out[:, 1] = cur
         for k in range(1, self.L):
-            out[:, k + 1] = ((x - a[k]) * out[:, k] - sqb[k] * out[:, k - 1]) / sqb[k + 1]
+            prev, cur = cur, ((x - a[k]) * cur - sqb[k] * prev) / sqb[k + 1]
+            out[:, k + 1] = cur
         return out
 
     def flat_index(self, ell, j):

@@ -114,11 +114,12 @@ def log_gamma(x):
     """
     arr = _as_positive_array(x, "log_gamma")
     out = special.gammaln(arr)
-    # Taylor branch around the zeros at 1 and 2.
-    upper = (arr >= 1.5) & (arr <= 2.75)
+    # Taylor branch around the zeros at 1 and 2; at the zeros themselves
+    # gammaln is already exact (+0.0), as the series would be.
+    upper = (arr >= 1.5) & (arr <= 2.75) & (arr != 2.0)
     if upper.any():
         out[upper] = _lgamma_near_two(arr[upper] - 2.0)
-    lower = (arr >= 0.5) & (arr < 1.5)
+    lower = (arr >= 0.5) & (arr < 1.5) & (arr != 1.0)
     if lower.any():
         out[lower] = _lgamma_near_two(arr[lower] - 1.0) - np.log(arr[lower])
     return _maybe_scalar(out, x)

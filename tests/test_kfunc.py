@@ -106,6 +106,29 @@ def test_degenerate_inputs():
         k_lower(FLAT, f, 0, 2)
 
 
+def test_nan_and_negative_arguments_raise_naming_them():
+    f = SpectralCoefficients.from_flat(FLAT, [1.0, 0.5, 0.25, 0.1])
+    for t in (math.nan, [0.1, math.nan], -0.1):
+        with pytest.raises(ValueError, match="^t must"):
+            k_exact_p2(FLAT, f, t)
+    for tail in (math.nan, -1.0, math.inf):
+        with pytest.raises(ValueError, match="^tail_norm must"):
+            k_exact_p2(FLAT, f, 0.1, tail_norm=tail)
+    with pytest.raises(ValueError, match="^t must"):
+        k_upper(FLAT, f, math.nan, 2)
+
+
+def test_infinite_t_gives_the_keep_mean_limit():
+    f = SpectralCoefficients.from_flat(FLAT, [1.0, 0.5, 0.25, 0.1])
+    assert k_exact_p2(FLAT, f, math.inf) == 0.5678908345800273
+    got = k_exact_p2(FLAT, f, [0.1, math.inf], tail_norm=0.3)
+    assert got[1] == math.sqrt(0.5678908345800273 ** 2 + 0.09)
+    mean_only = SpectralCoefficients.from_flat(FLAT, [1.0, 0.0, 0.0, 0.0])
+    assert k_exact_p2(FLAT, mean_only, math.inf) == 0.0
+    assert k_exact_p2(FLAT, mean_only, math.inf, tail_norm=0.3) == 0.3
+    assert k_exact_p2(FLAT, f * 0.0, math.inf) == 0.0
+
+
 def test_upper_bounded_by_norm():
     # the zero candidate is always in the list, so the upper estimate can
     # never exceed ||f||_p

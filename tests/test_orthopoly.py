@@ -275,6 +275,32 @@ def test_triangle_basis_blocks_equal_one_pass_bitwise(monkeypatch):
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+def _interval_column_fill(basis, x):
+    """IntervalBasis values filled one strided column per degree, each
+    computed from the two columns before it: the reference for the fill
+    that carries those degrees as vectors."""
+    out = np.empty((x.size, basis.L + 1))
+    a, sqb = basis._rec_a, basis._rec_sqb
+    out[:, 0] = 1.0 / sqb[0]
+    if basis.L >= 1:
+        out[:, 1] = (x - a[0]) * out[:, 0] / sqb[1]
+    for k in range(1, basis.L):
+        out[:, k + 1] = ((x - a[k]) * out[:, k] - sqb[k] * out[:, k - 1]) / sqb[k + 1]
+    return out
+
+
+@pytest.mark.parametrize("L, npts", [(256, 5377), (144, 5377), (64, 5120), (20, 30),
+                                     (1, 9), (0, 5)])
+def test_interval_basis_equals_column_fill_bitwise(L, npts):
+    basis = get_basis(WeightConfig(1, (0.5, -0.5)), L)
+    x = np.sort(np.random.default_rng(L + npts).uniform(0.0, 1.0, npts))
+    x[0], x[-1] = 0.0, 1.0
+    got = basis.eval_all(x)
+    want = _interval_column_fill(basis, x)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_triangle_basis_near_minus_one():
     with pytest.raises(ConstructionError, match=r"\(a, b, m\)"):
         TriangleBasis(WeightConfig(2, (-1.0 + 1e-12, 0.5, 0.5)), 40)

@@ -1,9 +1,9 @@
-"""Property tests over random inputs: the batched p = 2 K search against the
-scalar golden-section search it replaced, the flat coefficient container
-against blockwise arithmetic, the log-gamma ratio's symmetry and recurrence,
-the successive-degree eigenvalue identity, the 2-D Bernstein kernel
-against the 3-D one it replaced, the mode-anchored Bernstein sum against
-the Bernstein matrix, the triangle basis against the
+"""Property tests over random inputs: the batched p = 2 K search against
+its scalar form and, for accuracy, the golden-section search it replaced,
+the flat coefficient container against blockwise arithmetic, the log-gamma
+ratio's symmetry and recurrence, the successive-degree eigenvalue identity,
+the 2-D Bernstein kernel against the 3-D one it replaced, the mode-anchored
+Bernstein sum against the Bernstein matrix, the triangle basis against the
 per-j recurrence it replaced, and the memoized eigenvalue factors and
 Gauss rules against fresh computations.
 
@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from durrmeyer import SpectralCoefficients, WeightConfig, k_exact_p2
@@ -33,23 +33,80 @@ PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=N
 
 _LAM2_GRID = np.exp(np.linspace(np.log(1e-18), np.log(1e18), 481))
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_X_TOL = 1e-9
+EPS = np.finfo(float).eps
 
 
-def _p2_value(b, lam, t, tail2, lam2):
+def _p2_terms(b, lam, tail2, lam2):
     lam2 = np.atleast_1d(np.asarray(lam2, dtype=float))
     shrink = 1.0 / (1.0 + np.outer(lam2, lam * lam))
     resid = b * (1.0 - shrink)
     fid = np.sqrt((resid * resid).sum(axis=1) + tail2)
     rough = np.sqrt(((lam * (b * shrink)) ** 2).sum(axis=1))
+    return fid, rough
+
+
+def _p2_value(b, lam, t, tail2, lam2):
+    fid, rough = _p2_terms(b, lam, tail2, lam2)
     return fid + t * rough
 
 
-def _k_exact_p2_scalar(cfg, f, t, tail_norm=0.0):
-    """One golden-section search for one t, the reference for the batch."""
-    tail2 = float(tail_norm) ** 2
-    b = f.block_norms()
+def _p2_setup(cfg, f, tail_norm):
     ell = np.arange(f.max_degree + 1, dtype=float)
-    lam = ell * (ell + cfg.rho)
+    return f.block_norms(), ell * (ell + cfg.rho), float(tail_norm) ** 2
+
+
+def _p2_limits(b, lam, t, tail2):
+    keep_f = math.sqrt(tail2) + t * float(np.sqrt(((lam * b) ** 2).sum()))
+    keep_mean = math.sqrt(float((b[1:] * b[1:]).sum()) + tail2)
+    return keep_f, keep_mean
+
+
+def _k_exact_p2_scalar(cfg, f, t, tail_norm=0.0, steps=None):
+    """One regula falsi search for one t, the reference for the batch; the
+    number of root-finding steps is appended to `steps` if given."""
+    b, lam, tail2 = _p2_setup(cfg, f, tail_norm)
+    if t == math.inf:
+        return _p2_limits(b, lam, 0.0, tail2)[1]
+    fid, rough = _p2_terms(b, lam, tail2, _LAM2_GRID)
+    values = fid + t * rough
+    i = int(np.argmin(values))
+    best = float(values[i])
+    ilo, ihi = max(i - 1, 0), min(i + 1, _LAM2_GRID.size - 1)
+    psi_lo = float(_LAM2_GRID[ilo] * rough[ilo] - t * fid[ilo])
+    psi_hi = float(_LAM2_GRID[ihi] * rough[ihi] - t * fid[ihi])
+    n = 0
+    if psi_lo < 0.0 < psi_hi:
+        lo, hi = math.log(_LAM2_GRID[ilo]), math.log(_LAM2_GRID[ihi])
+        kept = 0
+        while True:
+            n += 1
+            x = hi - psi_hi * ((hi - lo) / (psi_hi - psi_lo))
+            if not lo < x < hi:
+                x = 0.5 * (lo + hi)
+            s = math.exp(x)
+            fx, rx = (float(v[0]) for v in _p2_terms(b, lam, tail2, s))
+            best = min(best, fx + t * rx)
+            psi = s * rx - t * fx
+            if psi > 0.0:
+                if kept < 0:
+                    psi_lo *= 0.5
+                hi, psi_hi, kept = x, psi, -1
+            else:
+                if kept > 0:
+                    psi_hi *= 0.5
+                lo, psi_lo, kept = x, psi, 1
+            if not (hi - lo > _X_TOL and psi != 0.0):
+                break
+    if steps is not None:
+        steps.append(n)
+    return min(best, *_p2_limits(b, lam, t, tail2))
+
+
+def _k_exact_p2_golden(cfg, f, t, tail_norm=0.0):
+    """Golden-section search for one finite t: 72 steps, an accuracy
+    reference for the regula falsi search."""
+    b, lam, tail2 = _p2_setup(cfg, f, tail_norm)
     values = _p2_value(b, lam, t, tail2, _LAM2_GRID)
     i = int(np.argmin(values))
     best = float(values[i])
@@ -68,10 +125,7 @@ def _k_exact_p2_scalar(cfg, f, t, tail_norm=0.0):
             lo, x1, f1 = x1, x2, f2
             x2 = lo + _GOLDEN * (hi - lo)
             f2 = float(_p2_value(b, lam, t, tail2, math.exp(x2))[0])
-    best = min(best, f1, f2)
-    keep_f = math.sqrt(tail2) + t * float(np.sqrt(((lam * b) ** 2).sum()))
-    keep_mean = math.sqrt(float((b[1:] * b[1:]).sum()) + tail2)
-    return min(best, keep_f, keep_mean)
+    return min(best, f1, f2, *_p2_limits(b, lam, t, tail2))
 
 
 # no magnitudes whose squares leave the normal range
@@ -91,12 +145,21 @@ def coefficients(draw, max_band=(30, 8)):
     return SpectralCoefficients.from_flat(cfg, scale * np.array(values))
 
 
-t_values = st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e3)),
+t_values = st.lists(st.one_of(st.just(0.0), st.just(math.inf), st.floats(0.0, 1e3)),
                     min_size=1, max_size=6).map(lambda ts: [0.0] + ts)
+
+
+_EDGE_CFG = WeightConfig(1, (0.5, -0.5))
+_ZERO_F = SpectralCoefficients.from_flat(_EDGE_CFG, np.zeros(5))
+_BLOCK_0_F = SpectralCoefficients.from_flat(_EDGE_CFG, [0.8, 0.0, 0.0, 0.0, 0.0])
 
 
 @PROPERTY
 @given(coefficients(), t_values, st.sampled_from((0.0, 1e-3, 0.7)))
+@example(_ZERO_F, [0.0, math.inf, 0.1], 0.0)
+@example(_ZERO_F, [0.0, math.inf, 0.1], 0.7)
+@example(_BLOCK_0_F, [0.0, math.inf, 0.1], 0.0)
+@example(_BLOCK_0_F, [0.0, math.inf, 0.1], 0.7)
 def test_batched_k_equals_scalar_search_bitwise(f, ts, tail):
     cfg = f.cfg
     got = k_exact_p2(cfg, f, np.array(ts), tail_norm=tail)
@@ -105,6 +168,38 @@ def test_batched_k_equals_scalar_search_bitwise(f, ts, tail):
     assert got.tolist() == want
     one = k_exact_p2(cfg, f, ts[-1], tail_norm=tail)
     assert isinstance(one, float) and one == want[-1]
+    keep_mean = math.hypot(*f.block_norms()[1:], tail)
+    for t, k in zip(ts, want):
+        if t == math.inf:
+            # Pg = 0 leaves only the mean block: the keep-mean limit
+            assert math.isclose(k, keep_mean, rel_tol=4 * EPS, abs_tol=0.0)
+        else:
+            golden = _k_exact_p2_golden(cfg, f, t, tail_norm=tail)
+            assert abs(k - golden) <= 4 * EPS * golden, (t, k, golden)
+
+
+def test_batched_k_with_interior_minimizers_equals_scalar_bitwise():
+    # Few drawn t above put the minimizer inside the grid, where the root
+    # finding runs; log-uniform t in [1e-4, 1] puts most of them there.
+    rng = np.random.default_rng(206)
+    steps = []
+    for trial in range(24):
+        d = 1 + trial % 2
+        cfg = WeightConfig(d, tuple(rng.uniform(-0.9, 3.0, d + 1)))
+        L = int(rng.integers(1, 31 if d == 1 else 9))
+        size = sum(block_size(cfg, ell) for ell in range(L + 1))
+        f = SpectralCoefficients.from_flat(cfg, rng.uniform(-1.0, 1.0, size))
+        ts = 10.0 ** rng.uniform(-4.0, 0.0, 8)
+        tail = (0.0, 1e-3, 0.7)[trial % 3]
+        got = k_exact_p2(cfg, f, ts, tail_norm=tail)
+        want = [_k_exact_p2_scalar(cfg, f, t, tail_norm=tail, steps=steps) for t in ts]
+        assert got.tolist() == want
+        for t, k in zip(ts, want):
+            golden = _k_exact_p2_golden(cfg, f, t, tail_norm=tail)
+            assert abs(k - golden) <= 4 * EPS * golden, (trial, t, k, golden)
+    interior = [n for n in steps if n > 0]
+    # bisection alone would need 29 steps to close a grid bracket
+    assert len(interior) >= len(steps) // 3 and max(interior) <= 12, steps
 
 
 @PROPERTY

@@ -64,6 +64,35 @@ def test_log_gamma_frozen_values():
 def test_log_gamma_exact_zeros():
     assert log_gamma(1.0) == 0.0
     assert log_gamma(2.0) == 0.0
+    # +0.0, not -0.0: gammaln at the zeros gives what the series gave
+    got = log_gamma(np.array([1.0, 2.0, 2.0, 1.0]))
+    assert got.tolist() == [0.0] * 4
+    assert not np.signbit(got).any()
+    assert not np.signbit(log_gamma(1.0)) and not np.signbit(log_gamma(2.0))
+
+
+def _log_gamma_series_at_zeros(x):
+    """log_gamma with the Taylor series also at exactly 1 and 2."""
+    from scipy import special
+
+    from durrmeyer.specfun import _lgamma_near_two
+    out = special.gammaln(x)
+    upper = (x >= 1.5) & (x <= 2.75)
+    out[upper] = _lgamma_near_two(x[upper] - 2.0)
+    lower = (x >= 0.5) & (x < 1.5)
+    out[lower] = _lgamma_near_two(x[lower] - 1.0) - np.log(x[lower])
+    return out
+
+
+def test_log_gamma_equals_series_at_zeros_bitwise():
+    rng = np.random.default_rng(207)
+    near = np.concatenate([np.nextafter(1.0, [0.0, 3.0]), np.nextafter(2.0, [0.0, 3.0])])
+    x = np.concatenate([[1.0, 2.0, 0.5, 1.5, 2.75, 0.001, 40.0], near,
+                        rng.uniform(0.4, 2.9, 200), rng.choice([1.0, 2.0], 50)])
+    rng.shuffle(x)
+    got, want = log_gamma(x), _log_gamma_series_at_zeros(x)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_digamma_frozen_values():
