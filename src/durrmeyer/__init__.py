@@ -13,11 +13,11 @@ command-line front end lives in `durrmeyer.cli`.
 """
 
 from .harness import (CheckReport, CheckRow, check_lemma, estimate_operator_norm,
-                      report_all, run_direct, run_lemmas, run_proposition,
-                      run_theorem1, verify_bracket, verify_cesaro_contraction,
-                      verify_direct, verify_eigenstructure,
-                      verify_kfunc_closed_form, verify_q_identity,
-                      verify_telescoping, verify_theorem1)
+                      report_all, run_direct, run_kfunc, run_lemmas, run_norms,
+                      run_proposition, run_theorem1, verify_bracket,
+                      verify_cesaro_contraction, verify_direct,
+                      verify_eigenstructure, verify_kfunc_closed_form,
+                      verify_q_identity, verify_telescoping)
 from .kfunc import (KBracket, NormContext, default_candidates, k_bracket,
                     k_exact_p2, k_lower, k_upper, k_upper_detail, norm_rule,
                     sup_points)
@@ -58,9 +58,10 @@ __all__ = [
     "multiplier_nu", "multiplier_nu_all", "norm_rule", "nu_continuous",
     "nu_prime", "nu_second", "partial_sum", "polygamma", "project",
     "projection_rule", "report_all",
-    "run_direct", "run_lemmas", "run_proposition", "run_theorem1",
+    "run_direct", "run_kfunc", "run_lemmas", "run_norms", "run_proposition",
+    "run_theorem1",
     "simplex_rule_2d", "sup_points", "synthesize", "verify_bracket",
     "verify_cesaro_contraction", "verify_direct", "verify_eigenstructure",
     "verify_kfunc_closed_form", "verify_q_identity", "verify_telescoping",
-    "verify_theorem1", "weight_mass",
+    "weight_mass",
 ]

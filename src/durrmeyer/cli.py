@@ -1,5 +1,6 @@
-"""Command-line front end: sweep configuration, check execution, CSV/JSON
-reports.
+"""Command-line front end: parses the sweep configuration, runs each command
+as one harness call, and serializes the reports as CSV or JSON.  The checks
+and their rows live in `durrmeyer.harness`.
 
 One fixed report schema serves every command.  Each row is a grid cell with
 columns check_id, d, alphas, rho, p, n, ell_or_tau, f_id, lhs, rhs, margin,
@@ -19,16 +20,13 @@ import argparse
 import json
 import math
 import sys
-import time
 
 import numpy as np
 from dataclasses import dataclass, field
 
 from . import harness
-from .harness import CheckReport, CheckRow
-from .kfunc import k_lower, k_upper_detail
+from .harness import DEFAULT_SEED, INTERVAL_ONLY_SUITES
 from .spectrum import DegeneracyError, WeightConfig
-from .suite import DEFAULT_SEED, INTERVAL_ONLY_SUITES, get_suite
 
 COMMANDS = ("verify-lemmas", "verify-direct", "verify-converse",
             "verify-proposition", "kfunc", "norms", "report-all")
@@ -70,11 +68,7 @@ class RunConfig:
         if self.n_start < 1 or self.n_stop < self.n_start:
             raise ConfigError("need 1 <= n-start <= n-stop")
         if self.dyadic:
-            out, n = [], self.n_start
-            while n <= self.n_stop:
-                out.append(n)
-                n *= 2
-            return tuple(out)
+            return tuple(harness._dyadic(self.n_start, self.n_stop))
         if self.n_step < 1:
             raise ConfigError("n-step must be >= 1")
         return tuple(range(self.n_start, self.n_stop + 1, self.n_step))
@@ -242,109 +236,33 @@ def parse_config(argv=None) -> RunConfig:
 # command execution
 
 
-def _run_verify_lemmas(cfg: RunConfig):
-    rhos = None
-    if cfg.alphas is not None:
-        rhos = (cfg.weight().rho,)
-    n_max = cfg.n_stop if "n_stop" in cfg.explicit else None
-    return [harness.check_lemma(lid, rhos=rhos, n_max=n_max, delta=cfg.delta,
-                                b=cfg.b, seed=cfg.seed,
-                                tol_identity=cfg.tol_identity)
-            for lid in harness.LEMMA_IDS]
-
-
-def _run_verify_direct(cfg: RunConfig):
-    ns = cfg.ns()
-    band = max(64, max(ns))
-    return [harness.run_direct(cfg=cfg.weight(), ps=cfg.ps, ns=ns,
-                               suite_name=cfg.suite, seed=cfg.seed, band=band)]
-
-
-def _run_verify_converse(cfg: RunConfig):
-    ns = cfg.ns() if "n_stop" in cfg.explicit or "n_start" in cfg.explicit \
-        else (4, 8, 16, 32)
-    band = max(64, 2 * max(ns))
-    return [harness.run_theorem1(cfg=cfg.weight(), ps=cfg.ps, ns=ns,
-                                 suite_name=cfg.suite, seed=cfg.seed, band=band)]
-
-
-def _run_verify_proposition(cfg: RunConfig):
-    ns = cfg.ns() if "n_stop" in cfg.explicit or "n_start" in cfg.explicit \
-        else (8, 16, 32, 64, 128)
-    band = max(144, max(ns) + 16)
-    return [harness.run_proposition(ps=cfg.ps, ns=ns, suite_name=cfg.suite,
-                                    seed=cfg.seed, band=band)]
-
-
-def _run_kfunc(cfg: RunConfig):
-    """K-functional brackets over the suite: lhs = lower bound, rhs = upper
-    bound, empirical_constant = exact value at p = 2."""
-    weight = cfg.weight()
-    ns = cfg.ns()
-    band = max(64, max(ns))
-    slack = 1e-9
-    rows = []
-    t0 = time.perf_counter()
-    for f in get_suite(cfg.suite, weight, cfg.seed):
-        fc = harness.FunctionContext(weight, f, band=band)
-        for p in cfg.ps:
-            exacts = fc.kvalues(ns, p) if p == 2 else [None] * len(ns)
-            for n, exact in zip(ns, exacts):
-                # band >= max(ns), so k_lower applies every degree exactly
-                lower = k_lower(weight, fc.coeffs, n, p, ctx=fc.ctx)
-                upper, _ = k_upper_detail(weight, fc.coeffs, 1.0 / n, p,
-                                          ctx=fc.ctx, exact=exact)
-                scale = max(upper, 1e-300)
-                if exact is None:
-                    margin = (upper - lower) / scale + slack
-                else:
-                    margin = min((exact - lower) / scale,
-                                 (upper - exact) / scale) + slack
-                rows.append(CheckRow(
-                    "KFUNC", d=weight.d, alphas=weight.alphas, rho=weight.rho,
-                    p=p, n=n, f_id=f.f_id, lhs=lower, rhs=upper, margin=margin,
-                    empirical_constant=exact, passed=margin >= 0.0))
-    grid = "suite=%s, p in %s, n in %s, seed=%d" % (
-        cfg.suite, list(cfg.ps), list(ns), cfg.seed)
-    return [harness._finish("KFUNC", grid, rows, t0)]
-
-
-def _run_norms(cfg: RunConfig):
-    """Empirical operator-norm lower bounds; reported, never asserted."""
-    weight = cfg.weight()
-    kinds = ("partial_sum", "cesaro") if weight.d == 1 else ("cesaro",)
-    rows = []
-    t0 = time.perf_counter()
-    for kind in kinds:
-        for p in cfg.ps:
-            for n in cfg.ns():
-                est = harness.estimate_operator_norm(kind, p, n, cfg=weight,
-                                                     seed=cfg.seed)
-                rows.append(CheckRow(
-                    "NORM-" + kind, d=weight.d, alphas=weight.alphas,
-                    rho=weight.rho, p=p, n=n, empirical_constant=est,
-                    passed=True))
-    grid = "kinds=%s, p in %s, n in %s, seed=%d" % (
-        list(kinds), list(cfg.ps), list(cfg.ns()), cfg.seed)
-    return [harness._finish("NORMS", grid, rows, t0)]
+def _ns_if_set(cfg: RunConfig):
+    """The n ladder as a keyword when --n-start or --n-stop was given, so
+    that the converse and proposition runs keep their own ladders otherwise."""
+    return {"ns": cfg.ns()} if cfg.explicit & {"n_start", "n_stop"} else {}
 
 
 def run(cfg: RunConfig):
-    if cfg.command == "verify-lemmas":
-        return _run_verify_lemmas(cfg)
-    if cfg.command == "verify-direct":
-        return _run_verify_direct(cfg)
-    if cfg.command == "verify-converse":
-        return _run_verify_converse(cfg)
-    if cfg.command == "verify-proposition":
-        return _run_verify_proposition(cfg)
-    if cfg.command == "kfunc":
-        return _run_kfunc(cfg)
-    if cfg.command == "norms":
-        return _run_norms(cfg)
-    return harness.report_all(seed=cfg.seed, delta=cfg.delta, b=cfg.b,
-                              tol_identity=cfg.tol_identity,
-                              tol_quadrature=cfg.tol_quadrature)
+    """The reports of one command, each from one harness call."""
+    weight, ps, suite, seed = cfg.weight(), cfg.ps, cfg.suite, cfg.seed
+    calls = {
+        "verify-lemmas": lambda: harness.run_lemmas(
+            rhos=None if cfg.alphas is None else (weight.rho,),
+            n_max=cfg.n_stop if "n_stop" in cfg.explicit else None,
+            delta=cfg.delta, b=cfg.b, seed=seed, tol_identity=cfg.tol_identity),
+        "verify-direct": lambda: [harness.run_direct(
+            weight, ps, cfg.ns(), suite_name=suite, seed=seed)],
+        "verify-converse": lambda: [harness.run_theorem1(
+            weight, ps, suite_name=suite, seed=seed, **_ns_if_set(cfg))],
+        "verify-proposition": lambda: [harness.run_proposition(
+            ps, suite_name=suite, seed=seed, **_ns_if_set(cfg))],
+        "kfunc": lambda: [harness.run_kfunc(weight, ps, cfg.ns(), suite, seed)],
+        "norms": lambda: [harness.run_norms(weight, ps, cfg.ns(), seed)],
+        "report-all": lambda: harness.report_all(
+            seed=seed, delta=cfg.delta, b=cfg.b, tol_identity=cfg.tol_identity,
+            tol_quadrature=cfg.tol_quadrature),
+    }
+    return calls[cfg.command]()
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from .specfun import log_gamma
 from .spectrum import (WeightConfig, c_n, c_n_prime, c_n_second, config_for_rho,
                        eigenvalue_mu, log_mu_all, log_nu_all, multiplier_nu_all,
                        nu_prime, nu_second)
-from .suite import DEFAULT_SEED, get_suite
+from .suite import DEFAULT_SEED, INTERVAL_ONLY_SUITES, get_suite
 
 TOL_IDENTITY = 1e-12
 TOL_QUADRATURE = 1e-9
@@ -560,8 +560,10 @@ _THEOREM1_NS = (4, 8, 16, 32)
 
 
 def run_direct(cfg=None, ps=_SUITE_PS, ns=_DIRECT_NS, suite_name="full",
-               seed=DEFAULT_SEED, band=64) -> CheckReport:
+               seed=DEFAULT_SEED, band=None) -> CheckReport:
+    """Direct estimate over the suite; the band defaults to max(64, max ns)."""
     cfg = cfg if cfg is not None else config_for_rho(0.0)
+    band = band if band is not None else max(64, max(ns))
     return _suite_checks(cfg, suite_name, seed, band, {"DIRECT": (ps, ns)})[0]
 
 
@@ -591,20 +593,13 @@ def _theorem1_rows(fc: FunctionContext, p, n, lhs):
     return out
 
 
-def verify_theorem1(cfg, f, p, n, fc=None) -> CheckReport:
-    t0 = time.perf_counter()
-    fc = fc or FunctionContext(cfg, f)
-    rows = _theorem1_rows(fc, p, n, fc.kvalues([n], p)[0])
-    return _finish("THM1", "single function %s, p=%s, n=%d" % (f.f_id, p, n),
-                   rows, t0)
-
-
 def run_theorem1(cfg=None, ps=_SUITE_PS, ns=_THEOREM1_NS, suite_name="full",
-                 seed=DEFAULT_SEED, band=64) -> CheckReport:
+                 seed=DEFAULT_SEED, band=None) -> CheckReport:
     """Converse estimate: K at scale 1/n against the three-term error bound,
     asserted at p = 2 where K is computed exactly, reported conservatively
-    (upper-bound K) at other p."""
+    (upper-bound K) at other p.  The band defaults to max(64, 2 max ns)."""
     cfg = cfg if cfg is not None else config_for_rho(0.0)
+    band = band if band is not None else max(64, 2 * max(ns))
     return _suite_checks(cfg, suite_name, seed, band, {"THM1": (ps, ns)})[0]
 
 
@@ -646,12 +641,14 @@ def _suite_checks(cfg, suite_name, seed, band, specs):
 
 
 def run_proposition(ps=(2,), ns=(8, 16, 32, 64, 128), suite_name="full",
-                    seed=DEFAULT_SEED, band=144) -> CheckReport:
+                    seed=DEFAULT_SEED, band=None) -> CheckReport:
     """Unweighted interval case: ratio of K to the operator error.  At p = 2
     the partial-sum projections are contractions, so the ratio is asserted
     against 3; at other p in (4/3, 4) the ratio is reported against an
-    empirical partial-sum norm bound."""
+    empirical partial-sum norm bound.  The band defaults to
+    max(144, max ns + 16)."""
     t0 = time.perf_counter()
+    band = band if band is not None else max(144, max(ns) + 16)
     cfg = WeightConfig(1, (0.0, 0.0))
     for p in ps:
         if not (p == 2 or 4.0 / 3.0 < p < 4.0):
@@ -754,6 +751,24 @@ def estimate_operator_norm(kind, p, n, cfg=None, seed=DEFAULT_SEED,
             continue
         worst = max(worst, norm_p(out.flat()) / denom)
     return worst
+
+
+def run_norms(cfg, ps, ns, seed=DEFAULT_SEED) -> CheckReport:
+    """Empirical operator-norm lower bounds; reported, never asserted.  The
+    partial sum is measured on the interval only."""
+    t0 = time.perf_counter()
+    kinds = ("partial_sum", "cesaro") if cfg.d == 1 else ("cesaro",)
+    rows = []
+    for kind in kinds:
+        for p in ps:
+            for n in ns:
+                est = estimate_operator_norm(kind, p, n, cfg=cfg, seed=seed)
+                rows.append(CheckRow("NORM-" + kind, d=cfg.d, alphas=cfg.alphas,
+                                     rho=cfg.rho, p=p, n=n,
+                                     empirical_constant=est, passed=True))
+    grid = "kinds=%s, p in %s, n in %s, seed=%d" % (
+        list(kinds), list(ps), list(ns), seed)
+    return _finish("NORMS", grid, rows, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -913,39 +928,63 @@ def verify_cesaro_contraction(n_max=32, tol=1e-12, seed=DEFAULT_SEED) -> CheckRe
     return _finish("CESARO", grid, rows, t0)
 
 
+def _bracket_rows(check_id, cfg, suite_name, seed, ps, ns):
+    """Rows checking k_lower <= K <= k_upper at t = 1/n for each suite
+    function, p and n.  At p = 2 the exact banded K sits between the two
+    (empirical_constant); elsewhere the row checks lower <= upper."""
+    band = max(64, max(ns))  # k_lower applies every degree n exactly
+    slack = 1e-9
+    rows = []
+    for f in get_suite(suite_name, cfg, seed):
+        fc = FunctionContext(cfg, f, band=band)
+        for p in ps:
+            exacts = fc.kvalues(ns, p) if p == 2 else [None] * len(ns)
+            for n, exact in zip(ns, exacts):
+                lower = kfunc.k_lower(cfg, fc.coeffs, n, p, ctx=fc.ctx)
+                upper, _ = kfunc.k_upper_detail(cfg, fc.coeffs, 1.0 / n, p,
+                                                ctx=fc.ctx, exact=exact)
+                scale = max(upper, exact or 0.0, 1e-300)
+                if exact is None:
+                    margin = (upper - lower) / scale + slack
+                else:
+                    margin = min((exact - lower) / scale,
+                                 (upper - exact) / scale) + slack
+                rows.append(CheckRow(check_id, d=cfg.d, alphas=cfg.alphas,
+                                     rho=cfg.rho, p=p, n=n, f_id=f.f_id,
+                                     lhs=lower, rhs=upper, margin=margin,
+                                     empirical_constant=exact,
+                                     passed=margin >= 0.0))
+        del fc  # one context alive at a time
+    return rows
+
+
 def verify_bracket(ns=(4, 16, 64), seed=DEFAULT_SEED) -> CheckReport:
     """Ordering of the three K estimates at p = 2 over the full suite."""
     t0 = time.perf_counter()
-    cfg = WeightConfig(1, (0.0, 0.0))
-    slack = 1e-9
-    rows = []
-    for f in get_suite("full", cfg, seed):
-        fc = FunctionContext(cfg, f)
-        exacts = fc.kvalues(ns, 2)
-        for n, exact in zip(ns, exacts):
-            lower = kfunc.k_lower(cfg, fc.coeffs, n, 2, ctx=fc.ctx)
-            upper, _ = kfunc.k_upper_detail(cfg, fc.coeffs, 1.0 / n, 2,
-                                            ctx=fc.ctx, exact=exact)
-            scale = max(exact, upper, 1e-300)
-            margin = min((exact - lower) / scale + slack,
-                         (upper - exact) / scale + slack)
-            rows.append(CheckRow("KBRACKET", d=1, alphas=cfg.alphas, rho=cfg.rho,
-                                 p=2, n=n, f_id=f.f_id, lhs=lower, rhs=upper,
-                                 margin=margin, empirical_constant=exact,
-                                 passed=margin >= 0.0))
-        del fc  # one context alive at a time
+    rows = _bracket_rows("KBRACKET", WeightConfig(1, (0.0, 0.0)), "full", seed,
+                         (2,), ns)
     grid = "full suite, p=2, n in %s, seed=%d" % (list(ns), seed)
     return _finish("KBRACKET", grid, rows, t0)
+
+
+def run_kfunc(cfg, ps, ns, suite_name="full", seed=DEFAULT_SEED) -> CheckReport:
+    """K-functional brackets over a suite: lhs = lower bound, rhs = upper
+    bound, empirical_constant = exact value at p = 2."""
+    t0 = time.perf_counter()
+    rows = _bracket_rows("KFUNC", cfg, suite_name, seed, ps, ns)
+    grid = "suite=%s, p in %s, n in %s, seed=%d" % (
+        suite_name, list(ps), list(ns), seed)
+    return _finish("KFUNC", grid, rows, t0)
 
 
 # ---------------------------------------------------------------------------
 # aggregate runners
 
 
-def run_lemmas(rhos=None, delta=0.25, b=4.0, seed=DEFAULT_SEED,
+def run_lemmas(rhos=None, n_max=None, delta=0.25, b=4.0, seed=DEFAULT_SEED,
                tol_identity=None):
-    return [check_lemma(lid, rhos=rhos, delta=delta, b=b, seed=seed,
-                        tol_identity=tol_identity)
+    return [check_lemma(lid, rhos=rhos, n_max=n_max, delta=delta, b=b,
+                        seed=seed, tol_identity=tol_identity)
             for lid in LEMMA_IDS]
 
 

@@ -279,7 +279,9 @@ def k_upper_detail(cfg: WeightConfig, f: SpectralCoefficients, t, p, *,
                                         band_limited=ctx.tail_norm == 0.0)
     best, name = math.inf, "none"
     for label, g in candidates:
-        val = ctx.norm_diff(g, p) + t * ctx.norm_band(apply_P_spectral(cfg, g), p)
+        rough = ctx.norm_band(apply_P_spectral(cfg, g), p)
+        # a candidate with P g = 0 pays no penalty, also at t = inf
+        val = ctx.norm_diff(g, p) + (t * rough if rough else 0.0)
         if val < best:
             best, name = val, label
     if p == 2:

@@ -87,8 +87,14 @@ class SpectralCoefficients:
 
     @classmethod
     def from_flat(cls, cfg, values):
-        """Coefficients from a flat vector ordered by degree."""
-        return cls(cfg, values)
+        """Coefficients from a flat vector ordered by degree; every value
+        must be finite."""
+        out = cls(cfg, values)
+        bad = np.flatnonzero(~np.isfinite(out.values))
+        if bad.size:
+            raise ValueError("coefficient %d is %r; coefficients must be finite"
+                             % (bad[0], float(out.values[bad[0]])))
+        return out
 
     def flat(self) -> np.ndarray:
         """The flat coefficient vector (read-only)."""

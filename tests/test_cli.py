@@ -96,6 +96,17 @@ def test_norms_command(tmp_path):
     assert all(line.split(",")[emp_col] for line in lines[1:])
 
 
+def test_norms_on_the_triangle_measure_the_cesaro_mean_only(tmp_path):
+    # partial-sum norms are computed on the interval only
+    out = tmp_path / "norms.csv"
+    rc = run_main(["--command", "norms", "--d", "2", "--alpha", "0,0,0",
+                   "--n-start", "2", "--n-stop", "4", "--p", "1,2",
+                   "--out", str(out)])
+    assert rc == 0
+    ids = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
+    assert ids and set(ids) == {"NORM-cesaro"}
+
+
 def test_exit_two_on_bad_weight(capsys):
     # the = form keeps argparse from reading the leading "-" as a flag
     rc = run_main(["--command", "verify-direct", "--alpha=-1,0"])

@@ -22,6 +22,7 @@ from durrmeyer import (
     k_exact_p2,
     k_upper,
     run_direct,
+    run_kfunc,
     run_theorem1,
     verify_bracket,
     verify_cesaro_contraction,
@@ -265,3 +266,16 @@ def test_shared_suite_pass_matches_standalone_runs_bitwise():
         else:
             k = k_upper(cfg, fc.coeffs, t, row.p, ctx=fc.ctx)
         assert (_bits(row.lhs), _bits(row.rhs)) == (_bits(err), _bits(2.0 * k))
+
+
+def test_kfunc_runner_matches_verify_bracket_bitwise():
+    # both reports come from one bracket loop; only ids and grids differ
+    ns = (4, 16, 64)
+    kfunc_rep = run_kfunc(WeightConfig(1, (0.0, 0.0)), (2.0,), ns, "full")
+    bracket = verify_bracket(ns=ns)
+    assert len(kfunc_rep.rows) == len(bracket.rows) > 0
+    for a, b in zip(kfunc_rep.rows, bracket.rows):
+        assert (a.check_id, b.check_id) == ("KFUNC", "KBRACKET")
+        assert (a.f_id, a.n) == (b.f_id, b.n)
+        assert [_bits(v) for v in (a.lhs, a.rhs, a.margin, a.empirical_constant)] == \
+            [_bits(v) for v in (b.lhs, b.rhs, b.margin, b.empirical_constant)]

@@ -129,6 +129,20 @@ def test_infinite_t_gives_the_keep_mean_limit():
     assert k_exact_p2(FLAT, f * 0.0, math.inf) == 0.0
 
 
+def test_upper_at_infinite_t_is_finite_for_p1_and_sup():
+    # the zero candidate pays no penalty, where inf * 0 would give NaN
+    f = SpectralCoefficients.from_flat(FLAT, [1.0, 0.5, 0.25, 0.1])
+    ctx = NormContext(FLAT, f)
+    for p in (1.0, math.inf):
+        assert k_upper_detail(FLAT, f, math.inf, p, ctx=ctx) == (ctx.norm_f(p), "zero")
+
+
+def test_non_finite_coefficients_raise_before_any_k_value():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="^coefficient 1 is (nan|inf);"):
+            k_exact_p2(FLAT, SpectralCoefficients.from_flat(FLAT, [1.0, bad, 0.25]), 0.1)
+
+
 def test_upper_bounded_by_norm():
     # the zero candidate is always in the list, so the upper estimate can
     # never exceed ||f||_p

@@ -246,6 +246,15 @@ def test_coefficient_container_validation():
         coeffs.blocks[0][0] = 2.0
 
 
+def test_non_finite_coefficients_raise_naming_the_first_index():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="^coefficient 2 is "):
+            SpectralCoefficients.from_flat(FLAT, [1.0, 0.5, bad, bad])
+    # project builds its result through from_flat
+    with pytest.raises(ValueError, match="^coefficient 0 is nan"):
+        project(lambda x: np.full(np.shape(x), np.nan), FLAT, 4)
+
+
 def test_basis_table_is_cached():
     a = get_basis(WeightConfig(1, (0.25, 0.75)), 9)
     b = get_basis(WeightConfig(1, (0.25, 0.75)), 9)
