@@ -20,6 +20,7 @@ import argparse
 import json
 import math
 import sys
+import time
 
 import numpy as np
 from dataclasses import dataclass, field
@@ -338,20 +339,24 @@ def write_report(reports, cfg: RunConfig):
         sys.stdout.write(text)
 
 
-def _summary(reports, stream):
+def _summary(reports, stream, wall_s):
+    """One line per check with its runtime, then the verdict and the wall
+    time of the run and the report writing.  Times go to stderr only: the
+    report files stay byte-deterministic."""
     failed = [r for r in reports if not r.passed]
     for rep in reports:
         flag = "ok  " if rep.passed else "FAIL"
         worst = "" if rep.worst_margin is None else \
             " worst_margin=%.3e" % rep.worst_margin
-        stream.write("%s %-10s rows=%d%s\n"
-                     % (flag, rep.check_id, len(rep.rows), worst))
+        stream.write("%s %-10s rows=%d%s runtime_ms=%d\n"
+                     % (flag, rep.check_id, len(rep.rows), worst, rep.runtime_ms))
     if failed:
         stream.write("%d of %d checks failed: %s\n"
                      % (len(failed), len(reports),
                         ", ".join(r.check_id for r in failed)))
     else:
         stream.write("all %d checks passed\n" % len(reports))
+    stream.write("wall time %.3f s\n" % wall_s)
     return len(failed)
 
 
@@ -361,6 +366,7 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         sys.stderr.write("config error: %s\n" % exc)
         return 2
+    t0 = time.perf_counter()
     try:
         reports = run(cfg)
     except DegeneracyError as exc:
@@ -370,7 +376,7 @@ def main(argv=None) -> int:
         sys.stderr.write("config error: %s\n" % exc)
         return 2
     write_report(reports, cfg)
-    failed = _summary(reports, sys.stderr)
+    failed = _summary(reports, sys.stderr, time.perf_counter() - t0)
     return 1 if failed else 0
 
 

@@ -22,13 +22,13 @@ import numpy as np
 from . import kfunc
 from .operators import (apply_durrmeyer, apply_durrmeyer_spectral, apply_P_spectral,
                         apply_Q, build_g_n, make_plan)
-from .orthopoly import (SpectralCoefficients, block_size, cesaro_factors, cesaro_mean,
+from .orthopoly import (SpectralCoefficients, block_size, cesaro_mean,
                         default_band, get_basis, partial_sum, project)
 from .quadrature import gauss_jacobi_rule, lp_norm
 from .specfun import log_gamma
 from .spectrum import (WeightConfig, c_n, c_n_prime, c_n_second, config_for_rho,
-                       eigenvalue_mu, log_mu_all, log_nu_all, multiplier_nu_all,
-                       nu_prime, nu_second)
+                       eigenvalue_mu, log_mu_rows, log_nu_all, log_nu_rows,
+                       multiplier_nu_all, multiplier_nu_rows, nu_prime, nu_second)
 from .suite import DEFAULT_SEED, INTERVAL_ONLY_SUITES, get_suite
 
 TOL_IDENTITY = 1e-12
@@ -117,24 +117,45 @@ def check_lemma(lemma_id, rhos=None, n_max=None, delta=0.25, b=4.0,
     t0 = time.perf_counter()
     tol_id = TOL_IDENTITY if tol_identity is None else float(tol_identity)
     if lemma_id == "L1":
-        return _check_l1(rhos or RHO_GRID_FULL, n_max or 512, t0)
+        return _check_l1(rhos or RHO_GRID_FULL, _default(n_max, 512), t0)
     if lemma_id == "L1-xi":
-        return _check_l1_xi(rhos or RHO_GRID_FULL, n_max or 512, t0)
+        return _check_l1_xi(rhos or RHO_GRID_FULL, _default(n_max, 512), t0)
     if lemma_id == "L3":
-        return _check_sup_simple("L3", rhos or RHO_GRID_SUP, n_max or 2048, t0)
+        return _check_sup_simple("L3", rhos or RHO_GRID_SUP, _default(n_max, 2048), t0)
     if lemma_id == "L4":
-        return _check_sup_simple("L4", rhos or RHO_GRID_SUP, n_max or 2048, t0)
+        return _check_sup_simple("L4", rhos or RHO_GRID_SUP, _default(n_max, 2048), t0)
     if lemma_id == "L5":
         return _check_l5(rhos or RHO_GRID_NONNEG, t0)
     if lemma_id == "L6":
-        return _check_l6(rhos or RHO_GRID_SUP, n_max or 2048, delta, b, t0)
+        return _check_l6(rhos or RHO_GRID_SUP, _default(n_max, 2048), delta, b, t0)
     if lemma_id == "HAT":
         return _check_hat(rhos or RHO_GRID_NONNEG, t0)
     if lemma_id == "EQ24":
-        return _check_eq24(rhos or RHO_GRID_FULL, n_max or 64, seed, t0, tol_id)
+        return _check_eq24(rhos or RHO_GRID_FULL, _default(n_max, 64), seed, t0, tol_id)
     if lemma_id == "MULT-ID":
-        return _check_mult_id(rhos or RHO_GRID_FULL, n_max or 200, t0, tol_id)
+        return _check_mult_id(rhos or RHO_GRID_FULL, _default(n_max, 200), t0, tol_id)
     raise ValueError("unknown lemma id %r (one of %s)" % (lemma_id, ", ".join(LEMMA_IDS)))
+
+
+def _default(n_max, value):
+    return value if n_max is None else n_max
+
+
+# Bytes of one float table per block of degrees in the L1, L1-xi, EQ24 and
+# MULT-ID scans: 29 degrees per block at n_max = 512, 3 at 4096.  Tables
+# stay below the 128 KiB from which glibc's malloc maps arrays: 500 kB tables
+# raise its mapping threshold and the battery's peak RSS by about 1 MB, and
+# 8 MB tables take the scans to 4096 to a 190 MB peak.
+_LEMMA_BLOCK_BYTES = 120_000
+
+
+def _degree_blocks(n_lo, n_hi, what="n"):
+    """Consecutive (lo, hi) ranges covering n_lo..n_hi, each small enough
+    that a table of its degrees, n_hi + 3 floats wide, fits the byte budget."""
+    if n_hi < n_lo:
+        raise ValueError("no degree satisfies %d <= %s <= %d" % (n_lo, what, n_hi))
+    step = max(1, _LEMMA_BLOCK_BYTES // (8 * (n_hi + 3)))
+    return [(lo, min(lo + step - 1, n_hi)) for lo in range(n_lo, n_hi + 1, step)]
 
 
 def _require_nonneg(rhos, what):
@@ -145,16 +166,22 @@ def _require_nonneg(rhos, what):
 
 def _check_l1(rhos, n_max, t0):
     """Strict decrease of the multiplier sequence in ell, in the log domain."""
+    blocks = _degree_blocks(2, n_max)
     rows = []
     for rho in rhos:
         cfg = config_for_rho(rho)
         worst = (math.inf, None, None, None, None)
-        for n in range(2, n_max + 1):
-            ln = log_nu_all(cfg, n)
-            diffs = ln[:-1] - ln[1:]
-            i = int(np.argmin(diffs))
-            if diffs[i] < worst[0]:
-                worst = (float(diffs[i]), n, i + 1, float(ln[i + 1]), float(ln[i]))
+        for lo, hi in blocks:
+            ns = np.arange(lo, hi + 1)
+            ln = log_nu_rows(cfg, ns)
+            # diffs[r, i] compares ell = i + 1 with ell + 1; it exists for ell <= n - 1
+            diffs = np.where(np.arange(hi - 1) < ns[:, None] - 1,
+                             ln[:, :-1] - ln[:, 1:], math.inf)
+            # row-major argmin: the first n, then the first ell, like a scan over n
+            r, i = np.unravel_index(np.argmin(diffs), diffs.shape)
+            if diffs[r, i] < worst[0]:
+                worst = (float(diffs[r, i]), int(ns[r]), int(i) + 1,
+                         float(ln[r, i + 1]), float(ln[r, i]))
         margin, n, ell, lhs, rhs = worst
         rows.append(CheckRow("L1", d=1, alphas=cfg.alphas, rho=rho, n=n,
                              ell_or_tau=ell, lhs=lhs, rhs=rhs, margin=margin,
@@ -168,25 +195,32 @@ def _check_l1_xi(rhos, n_max, t0):
     """Strict decrease of the signed products (n-ell-1)! Gamma(n+ell+rho+1)
     [n - ell(ell+rho+1)], compared through signs and log magnitudes."""
 
+    blocks = _degree_blocks(3, n_max)
+    cfgs = [config_for_rho(rho) for rho in rhos]
     # log_gamma is elementwise, so one table over the arguments n - ell
     # (1..n_max-1) and one per rho over n + ell (4..2 n_max - 1) give the
-    # same values as calls on each n's slice
+    # same values as calls on each n's cells
     low = log_gamma(np.arange(1.0, n_max))
     sums = np.arange(4.0, 2 * n_max)
-    rows = []
-    for rho in rhos:
-        cfg = config_for_rho(rho)
-        high = log_gamma(sums + rho + 1.0)
-        worst = (math.inf, None, None, None, None)
-        for n in range(3, n_max + 1):
-            ell = np.arange(1, n, dtype=float)
-            bracket = n - ell * (ell + rho + 1.0)
+    highs = [log_gamma(sums + rho + 1.0) for rho in rhos]
+    worst = [(math.inf, None, None, None, None)] * len(rhos)
+    for lo, hi in blocks:
+        # the cells (n, ell), 1 <= ell <= n-1, of the block in row-major order
+        ns = np.arange(lo, hi + 1)
+        n_cell = np.repeat(ns, ns - 1)
+        ell_int = np.concatenate([np.arange(1, n) for n in range(lo, hi + 1)])
+        ell = ell_int.astype(float)
+        # low[n - ell - 1] is log_gamma(n - ell), high[n + ell - 4] is
+        # log_gamma(n + ell + rho + 1)
+        low_cells = low[n_cell - ell_int - 1]
+        high_at = n_cell + ell_int - 4
+        # the pairs of adjacent cells that compare ell + 1 with ell of one degree
+        same_n = ell_int[:-1] < n_cell[:-1] - 1
+        for k, rho in enumerate(rhos):
+            bracket = n_cell - ell * (ell + rho + 1.0)
             sign = np.sign(bracket)
             with np.errstate(divide="ignore"):
-                # low[n-2::-1] is log_gamma(n - ell), high[n-3:2n-4] is
-                # log_gamma(n + ell + rho + 1)
-                logmag = (low[n - 2::-1] + high[n - 3:2 * n - 4]
-                          + np.log(np.abs(bracket)))
+                logmag = low_cells + highs[k][high_at] + np.log(np.abs(bracket))
             sa, sb = sign[:-1], sign[1:]
             la, lb = logmag[:-1], logmag[1:]
             with np.errstate(invalid="ignore"):
@@ -196,11 +230,12 @@ def _check_l1_xi(rhos, n_max, t0):
                                np.where(sa < sb, -1.0,
                                         np.where(sa > 0, both_pos,
                                                  np.where(sa < 0, both_neg, -1.0))))
-            i = int(np.argmin(margins))
-            if margins[i] < worst[0]:
-                worst = (float(margins[i]), n, i + 1, float(la[i]) * float(sa[i]),
-                         float(lb[i]) * float(sb[i]))
-        margin, n, ell, lhs, rhs = worst
+            i = int(np.argmin(np.where(same_n, margins, math.inf)))
+            if margins[i] < worst[k][0]:
+                worst[k] = (float(margins[i]), int(n_cell[i]), int(ell_int[i]),
+                            float(la[i]) * float(sa[i]), float(lb[i]) * float(sb[i]))
+    rows = []
+    for rho, cfg, (margin, n, ell, lhs, rhs) in zip(rhos, cfgs, worst):
         rows.append(CheckRow("L1-xi", d=1, alphas=cfg.alphas, rho=rho, n=n,
                              ell_or_tau=ell, lhs=lhs, rhs=rhs, margin=margin,
                              passed=margin > 0.0))
@@ -418,44 +453,54 @@ def _check_hat(rhos, t0):
     return _finish("HAT", grid, rows, t0)
 
 
-def _eq24_combo_factors(cfg, n):
-    """Per-degree factors of the Cesaro-mean combination that reproduces the
-    multiplier operator."""
-    nu = multiplier_nu_all(cfg, n)
+def _eq24_combo_rows(nu):
+    """Factors of the Cesaro-mean combination of (24) that reproduces the
+    multiplier operator, for ell = 0..width on each row of multipliers nu
+    (ell = 1..width, zero past each row's degree).
 
-    def ces(m):
-        return cesaro_factors(m, np.arange(n + 1))
-
-    total = (nu[1] - 2.0 * nu[0]) * ces(0)
-    for j in range(1, n - 1):
-        d2 = nu[j + 1] - 2.0 * nu[j] + nu[j - 1]
-        total = total + (j + 1) * d2 * ces(j)
-    total = total + n * (nu[n - 2] - 2.0 * nu[n - 1]) * ces(n - 1)
-    total = total + (n + 1) * nu[n - 1] * ces(n)
-    return total
+    With nu_0 = 0 and nu_m = 0 for m > n, the weight of the Cesaro mean of
+    order j is c_j = (j+1) (nu_{j+2} - 2 nu_{j+1} + nu_j), j = 0..n.  Since
+    (j+1) ces_j(ell) = (j+1-ell)_+, the combination at ell is
+    sum_{j>=ell} c_j - ell sum_{j>=ell} c_j / (j+1): two reverse cumulative
+    sums, which read nu_ell only through the c_j.
+    """
+    padded = np.zeros((nu.shape[0], nu.shape[1] + 3))
+    padded[:, 1:-2] = nu
+    j1 = np.arange(1.0, nu.shape[1] + 2)
+    c = j1 * (padded[:, 2:] - 2.0 * padded[:, 1:-1] + padded[:, :-2])
+    tail = np.cumsum(c[:, ::-1], axis=1)[:, ::-1]
+    tail_w = np.cumsum((c / j1)[:, ::-1], axis=1)[:, ::-1]
+    return tail - (j1 - 1.0) * tail_w
 
 
 def _check_eq24(rhos, n_max, seed, t0, tol=TOL_IDENTITY):
+    blocks = _degree_blocks(2, n_max)
     rng = np.random.default_rng(seed)
     rows = []
     for rho in rhos:
         cfg = config_for_rho(rho)
         worst = (-math.inf, None, None, None)
-        for n in range(2, n_max + 1):
-            fhat = rng.uniform(-1.0, 1.0, n + 1)
-            q_factors = np.concatenate(([0.0], multiplier_nu_all(cfg, n)))
-            combo = _eq24_combo_factors(cfg, n)
-            lhs_vec = q_factors * fhat
-            rhs_vec = combo * fhat
-            denom = float(np.max(np.abs(lhs_vec))) + 1e-300
-            resid = float(np.max(np.abs(lhs_vec - rhs_vec))) / denom
-            if resid > worst[0]:
-                worst = (resid, n, float(np.max(np.abs(lhs_vec))),
-                         float(np.max(np.abs(rhs_vec))))
+        for lo, hi in blocks:
+            ns = np.arange(lo, hi + 1)
+            nu = multiplier_nu_rows(cfg, ns)
+            q_factors = np.concatenate((np.zeros((ns.size, 1)), nu), axis=1)
+            combo = _eq24_combo_rows(nu)
+            # one draw of n + 1 coefficients per degree, in the order of the
+            # degrees: the same stream as a draw per degree
+            fhat = np.zeros_like(q_factors)
+            fhat[np.arange(hi + 1) <= ns[:, None]] = rng.uniform(
+                -1.0, 1.0, int((ns + 1).sum()))
+            lhs_vec, rhs_vec = q_factors * fhat, combo * fhat
+            lhs = np.max(np.abs(lhs_vec), axis=1)
+            rhs = np.max(np.abs(rhs_vec), axis=1)
+            resids = np.max(np.abs(lhs_vec - rhs_vec), axis=1) / (lhs + 1e-300)
+            r = int(np.argmax(resids))
+            if resids[r] > worst[0]:
+                worst = (float(resids[r]), int(ns[r]), float(lhs[r]), float(rhs[r]))
         resid, n, lhs, rhs = worst
-        rows.append(CheckRow("EQ24", d=1, alphas=config_for_rho(rho).alphas,
-                             rho=rho, n=n, lhs=lhs, rhs=rhs, margin=tol - resid,
-                             empirical_constant=resid, passed=resid <= tol))
+        rows.append(CheckRow("EQ24", d=1, alphas=cfg.alphas, rho=rho, n=n, lhs=lhs,
+                             rhs=rhs, margin=tol - resid, empirical_constant=resid,
+                             passed=resid <= tol))
     grid = "rho in %s, 2 <= n <= %d, random coefficient vectors, tol %g" % (
         list(rhos), n_max, tol)
     return _finish("EQ24", grid, rows, t0)
@@ -464,20 +509,24 @@ def _check_eq24(rhos, n_max, seed, t0, tol=TOL_IDENTITY):
 def _check_mult_id(rhos, k_max, t0, tol=TOL_IDENTITY):
     """Successive-degree eigenvalue identity, in ratio form so that deep
     underflow in the eigenvalues themselves cannot contaminate it."""
+    blocks = _degree_blocks(2, k_max, "k")
     rows = []
     for rho in rhos:
         cfg = config_for_rho(rho)
         worst = (-math.inf, None, None)
-        prev = log_mu_all(cfg, 1)
-        for k in range(2, k_max + 1):
-            cur = log_mu_all(cfg, k)
-            ell = np.arange(1, k, dtype=float)
-            ratio = np.exp(prev[1:k] - cur[1:k])
-            resid = np.abs(1.0 - ratio - ell * (ell + rho) / (k * (k + rho)))
-            i = int(np.argmax(resid))
-            if resid[i] > worst[0]:
-                worst = (float(resid[i]), k, i + 1)
-            prev = cur
+        for lo, hi in blocks:
+            # rows k - 1 and k of one table, at ell = 1..hi-1
+            logmu = log_mu_rows(cfg, np.arange(lo - 1, hi + 1))[:, 1:hi]
+            ks = np.arange(lo, hi + 1, dtype=float)[:, None]
+            ell = np.arange(1, hi, dtype=float)
+            valid = ell < ks
+            ratio = np.exp(np.where(valid, logmu[:-1] - logmu[1:], 0.0))
+            resid = np.where(valid, np.abs(1.0 - ratio - ell * (ell + rho)
+                                           / (ks * (ks + rho))), -math.inf)
+            # row-major argmax: the first k, then the first ell
+            r, i = np.unravel_index(np.argmax(resid), resid.shape)
+            if resid[r, i] > worst[0]:
+                worst = (float(resid[r, i]), lo + int(r), int(i) + 1)
         resid, k, ell = worst
         rows.append(CheckRow("MULT-ID", d=1, alphas=cfg.alphas, rho=rho, n=k,
                              ell_or_tau=ell, margin=tol - resid,

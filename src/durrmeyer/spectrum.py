@@ -28,9 +28,12 @@ __all__ = [
     "eigenvalue_mu",
     "eigenvalue_mu_all",
     "log_mu_all",
+    "log_mu_rows",
     "multiplier_nu",
     "multiplier_nu_all",
+    "multiplier_nu_rows",
     "log_nu_all",
+    "log_nu_rows",
     "mu_continuous",
     "c_n",
     "c_n_prime",
@@ -98,10 +101,14 @@ def _check_n(n):
     return int(n)
 
 
+def _factor_args(rho, n, j):
+    # log1p of these is the log of the telescoping factor j of mu(n, ell)
+    return -(rho + 1.0 + 2.0 * j) / (n + rho + 1.0 + j)
+
+
 def _log_factors(rho, n, ell):
     # log of the telescoping factors of mu(n, ell), one per j < ell
-    j = np.arange(ell, dtype=float)
-    return np.log1p(-(rho + 1.0 + 2.0 * j) / (n + rho + 1.0 + j))
+    return np.log1p(_factor_args(rho, n, np.arange(ell, dtype=float)))
 
 
 def log_mu_all(cfg: WeightConfig, n) -> np.ndarray:
@@ -140,24 +147,66 @@ def eigenvalue_mu_over_n(cfg: WeightConfig, ns, ell) -> np.ndarray:
     return np.exp(_log_factors(cfg.rho, ns[:, None], ell).sum(axis=1))
 
 
+def log_mu_rows(cfg: WeightConfig, ns) -> np.ndarray:
+    """log of the eigenvalues for a block of degrees, shape (len(ns), max(ns) + 1).
+
+    Row i equals log_mu_all(cfg, ns[i]) bit for bit in columns 0..ns[i]: the
+    same factors, cumulated in the same order.  Past ell = ns[i] the row
+    repeats its last value; the factors there (log1p of -1 and below) are
+    never evaluated.
+    """
+    ns = np.asarray(ns, dtype=float)[:, None]
+    j = np.arange(int(ns.max()), dtype=float)
+    args = np.where(j < ns, _factor_args(cfg.rho, ns, j), 0.0)
+    out = np.zeros((ns.shape[0], j.size + 1))
+    np.cumsum(np.log1p(args), axis=1, out=out[:, 1:])
+    return out
+
+
+def _log_nu(rho, n, ell, logmu):
+    # log(1 - mu) via expm1: exact for mu near 1 and for mu underflowing to 0.
+    return np.log(ell * (ell + rho)) - np.log(n) + logmu - np.log(-np.expm1(logmu))
+
+
+def _nu(rho, n, ell, logmu):
+    return ell * (ell + rho) * np.exp(logmu) / (n * (-np.expm1(logmu)))
+
+
 def log_nu_all(cfg: WeightConfig, n) -> np.ndarray:
     """log of the multiplier for ell = 1..n; stays finite when nu underflows."""
     n = _check_n(n)
-    rho = cfg.rho
-    logmu = log_mu_all(cfg, n)[1:]
     ell = np.arange(1, n + 1, dtype=float)
-    # log(1 - mu) via expm1: exact for mu near 1 and for mu underflowing to 0.
-    log_one_minus_mu = np.log(-np.expm1(logmu))
-    return np.log(ell * (ell + rho)) - np.log(float(n)) + logmu - log_one_minus_mu
+    return _log_nu(cfg.rho, float(n), ell, log_mu_all(cfg, n)[1:])
+
+
+def log_nu_rows(cfg: WeightConfig, ns) -> np.ndarray:
+    """log of the multipliers for a block of degrees, shape (len(ns), max(ns)).
+
+    Column ell - 1 of row i equals log_nu_all(cfg, ns[i]) bit for bit for
+    ell <= ns[i].  The cells past it are finite and meaningless: mask them.
+    """
+    ns = np.asarray(ns, dtype=float)[:, None]
+    ell = np.arange(1, int(ns.max()) + 1, dtype=float)
+    return _log_nu(cfg.rho, ns, ell, log_mu_rows(cfg, ns[:, 0])[:, 1:])
 
 
 def multiplier_nu_all(cfg: WeightConfig, n) -> np.ndarray:
     """Multipliers nu(n, ell) for ell = 1..n (linear domain)."""
     n = _check_n(n)
-    rho = cfg.rho
-    logmu = log_mu_all(cfg, n)[1:]
     ell = np.arange(1, n + 1, dtype=float)
-    return ell * (ell + rho) * np.exp(logmu) / (n * (-np.expm1(logmu)))
+    return _nu(cfg.rho, n, ell, log_mu_all(cfg, n)[1:])
+
+
+def multiplier_nu_rows(cfg: WeightConfig, ns) -> np.ndarray:
+    """Multipliers for a block of degrees, shape (len(ns), max(ns)).
+
+    Column ell - 1 of row i equals multiplier_nu_all(cfg, ns[i]) bit for bit
+    for ell <= ns[i], and holds 0 past it.
+    """
+    ns = np.asarray(ns, dtype=float)[:, None]
+    ell = np.arange(1, int(ns.max()) + 1, dtype=float)
+    nu = _nu(cfg.rho, ns, ell, log_mu_rows(cfg, ns[:, 0])[:, 1:])
+    return np.where(ell <= ns, nu, 0.0)
 
 
 def multiplier_nu(cfg: WeightConfig, n, ell) -> float:
@@ -169,9 +218,7 @@ def multiplier_nu(cfg: WeightConfig, n, ell) -> float:
     if int(ell) != ell or not 1 <= ell <= n:
         raise ValueError("need 1 <= ell <= n")
     ell = int(ell)
-    rho = cfg.rho
-    logmu = float(np.sum(_log_factors(rho, n, ell)))
-    return ell * (ell + rho) * np.exp(logmu) / (n * (-np.expm1(logmu)))
+    return _nu(cfg.rho, n, ell, float(np.sum(_log_factors(cfg.rho, n, ell))))
 
 
 def _check_tau(cfg, n, tau):

@@ -2,6 +2,7 @@
 exit codes, and byte determinism of written reports."""
 
 import json
+import re
 
 import pytest
 
@@ -68,6 +69,22 @@ def test_json_structure(tmp_path):
     row = report["rows"][0]
     assert set(row) == set(CSV_COLUMNS)
     assert {r["p"] for r in report["rows"]} == {2.0, "inf"}
+
+
+def test_summary_carries_runtimes_and_reports_do_not(tmp_path, capsys):
+    for fmt in ("csv", "json"):
+        out = tmp_path / ("lemmas." + fmt)
+        rc = run_main(["--command", "verify-lemmas", "--n-stop", "64",
+                       "--format", fmt, "--out", str(out)])
+        assert rc == 0
+        lines = capsys.readouterr().err.splitlines()
+        checks = [line for line in lines if line.startswith(("ok  ", "FAIL"))]
+        assert len(checks) == 9
+        for line in checks:
+            # the prefix stays parseable as "<flag> <ID> rows=<N>"
+            assert re.match(r"^ok   \S+\s+rows=\d+ .*runtime_ms=\d+$", line), line
+        assert re.fullmatch(r"wall time \d+\.\d{3} s", lines[-1]), lines[-1]
+        assert "runtime_ms" not in out.read_text()
 
 
 def test_byte_determinism_small_grid(tmp_path):

@@ -30,18 +30,22 @@ from durrmeyer import (
     verify_q_identity,
     verify_telescoping,
 )
+from durrmeyer import harness
 from durrmeyer.harness import (
     LEMMA_IDS,
     RHO_GRID_NONNEG,
     FunctionContext,
+    _eq24_combo_rows,
     _finish,
     _rel_margin,
     _stabilization,
     _suite_checks,
     hat_integrals,
 )
+from durrmeyer.orthopoly import cesaro_factors
 from durrmeyer.specfun import log_gamma
-from durrmeyer.spectrum import nu_second
+from durrmeyer.spectrum import (log_mu_all, log_nu_all, multiplier_nu_all,
+                                multiplier_nu_rows, nu_second)
 from durrmeyer.suite import eigenfunction_suite, get_suite
 
 
@@ -202,6 +206,105 @@ def test_l1_xi_tables_match_direct_log_gamma():
     for rho, row in zip(rhos, rep.rows):
         got = (row.margin, row.n, row.ell_or_tau, row.lhs, row.rhs)
         assert got == _l1_xi_scan(rho, 90), rho
+
+
+def _l1_scan(rho, n_max):
+    """Worst (margin, n, ell, lhs, rhs) of L1, one log_nu_all call per n: the
+    reference for the check's block tables."""
+    cfg = config_for_rho(rho)
+    worst = (math.inf, None, None, None, None)
+    for n in range(2, n_max + 1):
+        ln = log_nu_all(cfg, n)
+        diffs = ln[:-1] - ln[1:]
+        i = int(np.argmin(diffs))
+        if diffs[i] < worst[0]:
+            worst = (float(diffs[i]), n, i + 1, float(ln[i + 1]), float(ln[i]))
+    return worst
+
+
+def _mult_id_scan(rho, k_max):
+    """Worst (residual, k, ell) of MULT-ID, one log_mu_all call per k."""
+    cfg = config_for_rho(rho)
+    worst = (-math.inf, None, None)
+    prev = log_mu_all(cfg, 1)
+    for k in range(2, k_max + 1):
+        cur = log_mu_all(cfg, k)
+        ell = np.arange(1, k, dtype=float)
+        ratio = np.exp(prev[1:k] - cur[1:k])
+        resid = np.abs(1.0 - ratio - ell * (ell + rho) / (k * (k + rho)))
+        i = int(np.argmax(resid))
+        if resid[i] > worst[0]:
+            worst = (float(resid[i]), k, i + 1)
+        prev = cur
+    return worst
+
+
+def _eq24_combo_factors(cfg, n):
+    """The combination of (24) as a sum of n + 1 Cesaro-factor vectors, the
+    reference for the cumulative-sum form."""
+    nu = multiplier_nu_all(cfg, n)
+
+    def ces(m):
+        return cesaro_factors(m, np.arange(n + 1))
+
+    total = (nu[1] - 2.0 * nu[0]) * ces(0)
+    for j in range(1, n - 1):
+        d2 = nu[j + 1] - 2.0 * nu[j] + nu[j - 1]
+        total = total + (j + 1) * d2 * ces(j)
+    total = total + n * (nu[n - 2] - 2.0 * nu[n - 1]) * ces(n - 1)
+    total = total + (n + 1) * nu[n - 1] * ces(n)
+    return total
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_l1_block_tables_match_the_per_degree_scan():
+    rhos = (-0.9, 0.0, 2.5, 6.0)
+    rep = check_lemma("L1", rhos=rhos, n_max=300)
+    for rho, row in zip(rhos, rep.rows):
+        got = (row.margin, row.n, row.ell_or_tau, row.lhs, row.rhs)
+        assert got == _l1_scan(rho, 300), rho
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_mult_id_block_tables_match_the_per_degree_scan():
+    rhos = (-0.9, 0.0, 2.5, 6.0)
+    rep = check_lemma("MULT-ID", rhos=rhos, n_max=300)
+    for rho, row in zip(rhos, rep.rows):
+        assert (row.empirical_constant, row.n, row.ell_or_tau) == \
+            _mult_id_scan(rho, 300), rho
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_eq24_cumulative_sums_match_the_cesaro_loop():
+    for rho in (-0.9, 0.0, 6.0):
+        cfg = config_for_rho(rho)
+        ns = np.arange(2, 257)
+        combo = _eq24_combo_rows(multiplier_nu_rows(cfg, ns))
+        for row, n in zip(combo, ns):
+            want = _eq24_combo_factors(cfg, n)
+            assert np.max(np.abs(row[:n + 1] - want)) <= 1e-14, (rho, n)
+            assert not row[n + 1:].any(), (rho, n)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_lemma_scans_are_unchanged_across_many_blocks(monkeypatch):
+    rhos = (-0.9, 1.0)
+    want = [check_lemma(lid, rhos=rhos, n_max=120)
+            for lid in ("L1", "L1-xi", "EQ24", "MULT-ID")]
+    # 4 to 8 degrees per block
+    monkeypatch.setattr(harness, "_LEMMA_BLOCK_BYTES", 4000)
+    assert len(harness._degree_blocks(2, 120)) == 30
+    for rep in want:
+        got = check_lemma(rep.check_id, rhos=rhos, n_max=120)
+        assert [dataclasses.astuple(r) for r in got.rows] == \
+            [dataclasses.astuple(r) for r in rep.rows], rep.check_id
+
+
+def test_empty_degree_ranges_raise():
+    for lemma_id, n_max in (("L1", 1), ("L1-xi", 2), ("EQ24", 1), ("MULT-ID", 1),
+                            ("L1", 0), ("EQ24", 0), ("MULT-ID", -3)):
+        with pytest.raises(ValueError, match="no degree satisfies"):
+            check_lemma(lemma_id, n_max=n_max)
 
 
 def test_interval_only_suites_reject_the_triangle():
