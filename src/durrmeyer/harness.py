@@ -26,9 +26,9 @@ from .orthopoly import (SpectralCoefficients, block_size, cesaro_mean,
                         default_band, get_basis, partial_sum, project)
 from .quadrature import gauss_jacobi_rule, lp_norm
 from .specfun import log_gamma
-from .spectrum import (WeightConfig, c_n, c_n_prime, c_n_second, config_for_rho,
-                       eigenvalue_mu, log_mu_rows, log_nu_all, log_nu_rows,
-                       multiplier_nu_all, multiplier_nu_rows, nu_prime, nu_second)
+from .spectrum import (WeightConfig, _log_mu_rows, _log_nu_rows, _nu_rows, c_n,
+                       c_n_prime, c_n_second, config_for_rho, eigenvalue_mu,
+                       log_nu_all, multiplier_nu_all, nu_prime, nu_second)
 from .suite import DEFAULT_SEED, INTERVAL_ONLY_SUITES, get_suite
 
 TOL_IDENTITY = 1e-12
@@ -173,7 +173,7 @@ def _check_l1(rhos, n_max, t0):
         worst = (math.inf, None, None, None, None)
         for lo, hi in blocks:
             ns = np.arange(lo, hi + 1)
-            ln = log_nu_rows(cfg, ns)
+            ln = _log_nu_rows(cfg, lo, hi)
             # diffs[r, i] compares ell = i + 1 with ell + 1; it exists for ell <= n - 1
             diffs = np.where(np.arange(hi - 1) < ns[:, None] - 1,
                              ln[:, :-1] - ln[:, 1:], math.inf)
@@ -482,7 +482,7 @@ def _check_eq24(rhos, n_max, seed, t0, tol=TOL_IDENTITY):
         worst = (-math.inf, None, None, None)
         for lo, hi in blocks:
             ns = np.arange(lo, hi + 1)
-            nu = multiplier_nu_rows(cfg, ns)
+            nu = _nu_rows(cfg, lo, hi)
             q_factors = np.concatenate((np.zeros((ns.size, 1)), nu), axis=1)
             combo = _eq24_combo_rows(nu)
             # one draw of n + 1 coefficients per degree, in the order of the
@@ -516,7 +516,7 @@ def _check_mult_id(rhos, k_max, t0, tol=TOL_IDENTITY):
         worst = (-math.inf, None, None)
         for lo, hi in blocks:
             # rows k - 1 and k of one table, at ell = 1..hi-1
-            logmu = log_mu_rows(cfg, np.arange(lo - 1, hi + 1))[:, 1:hi]
+            logmu = _log_mu_rows(cfg, lo - 1, hi)[:, 1:hi]
             ks = np.arange(lo, hi + 1, dtype=float)[:, None]
             ell = np.arange(1, hi, dtype=float)
             valid = ell < ks

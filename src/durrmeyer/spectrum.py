@@ -28,12 +28,9 @@ __all__ = [
     "eigenvalue_mu",
     "eigenvalue_mu_all",
     "log_mu_all",
-    "log_mu_rows",
     "multiplier_nu",
     "multiplier_nu_all",
-    "multiplier_nu_rows",
     "log_nu_all",
-    "log_nu_rows",
     "mu_continuous",
     "c_n",
     "c_n_prime",
@@ -111,14 +108,44 @@ def _log_factors(rho, n, ell):
     return np.log1p(_factor_args(rho, n, np.arange(ell, dtype=float)))
 
 
+def _degrees(lo, hi):
+    # the consecutive degrees lo..hi of a block table, one per row
+    return np.arange(lo, hi + 1, dtype=float)[:, None]
+
+
+def _zero_past_degree(table, ns, first):
+    # column c of a block table holds index first + c; zero the cells whose
+    # index exceeds their row's degree.  Only columns past the block's first
+    # degree hold any, and a one-degree table has none.
+    if ns.shape[0] > 1:
+        c0 = int(ns[0, 0]) - first + 1
+        index = np.arange(c0 + first, table.shape[1] + first)
+        np.copyto(table[:, c0:], 0.0, where=index > ns)
+    return table
+
+
+def _log_mu_table(rho, ns):
+    # log mu(n, ell) for ell = 0..max(ns) on each degree's row.  The factors
+    # j >= n (log1p of -1 and below) are replaced by 0 before log1p, so they
+    # are never evaluated and the row repeats its value at n past ell = n.
+    j = np.arange(int(ns[-1, 0]), dtype=float)
+    terms = np.log1p(_zero_past_degree(_factor_args(rho, ns, j), ns, 1))
+    out = np.zeros((ns.shape[0], j.size + 1))
+    np.cumsum(terms, axis=1, out=out[:, 1:])
+    return out
+
+
+def _log_mu_rows(cfg: WeightConfig, lo, hi) -> np.ndarray:
+    """log_mu_all for the degrees lo..hi, shape (hi - lo + 1, hi + 1); the
+    cells past a row's degree hold 0, as in every block table here."""
+    ns = _degrees(lo, hi)
+    return _zero_past_degree(_log_mu_table(cfg.rho, ns), ns, 0)
+
+
 def log_mu_all(cfg: WeightConfig, n) -> np.ndarray:
     """log of the eigenvalue for every ell = 0..n at fixed n."""
     n = _check_n(n)
-    terms = _log_factors(cfg.rho, n, n)
-    out = np.empty(n + 1)
-    out[0] = 0.0
-    np.cumsum(terms, out=out[1:])
-    return out
+    return _log_mu_rows(cfg, n, n)[0]
 
 
 def eigenvalue_mu_all(cfg: WeightConfig, n) -> np.ndarray:
@@ -147,22 +174,6 @@ def eigenvalue_mu_over_n(cfg: WeightConfig, ns, ell) -> np.ndarray:
     return np.exp(_log_factors(cfg.rho, ns[:, None], ell).sum(axis=1))
 
 
-def log_mu_rows(cfg: WeightConfig, ns) -> np.ndarray:
-    """log of the eigenvalues for a block of degrees, shape (len(ns), max(ns) + 1).
-
-    Row i equals log_mu_all(cfg, ns[i]) bit for bit in columns 0..ns[i]: the
-    same factors, cumulated in the same order.  Past ell = ns[i] the row
-    repeats its last value; the factors there (log1p of -1 and below) are
-    never evaluated.
-    """
-    ns = np.asarray(ns, dtype=float)[:, None]
-    j = np.arange(int(ns.max()), dtype=float)
-    args = np.where(j < ns, _factor_args(cfg.rho, ns, j), 0.0)
-    out = np.zeros((ns.shape[0], j.size + 1))
-    np.cumsum(np.log1p(args), axis=1, out=out[:, 1:])
-    return out
-
-
 def _log_nu(rho, n, ell, logmu):
     # log(1 - mu) via expm1: exact for mu near 1 and for mu underflowing to 0.
     return np.log(ell * (ell + rho)) - np.log(n) + logmu - np.log(-np.expm1(logmu))
@@ -172,41 +183,35 @@ def _nu(rho, n, ell, logmu):
     return ell * (ell + rho) * np.exp(logmu) / (n * (-np.expm1(logmu)))
 
 
+def _multiplier_rows(cfg, lo, hi, form):
+    # form (_log_nu or _nu) at ell = 1..hi on the row of each degree lo..hi;
+    # past the degree it sees the row's repeated log mu(n, n), never 0
+    ns = _degrees(lo, hi)
+    ell = np.arange(1, hi + 1, dtype=float)
+    vals = form(cfg.rho, ns, ell, _log_mu_table(cfg.rho, ns)[:, 1:])
+    return _zero_past_degree(vals, ns, 1)
+
+
+def _log_nu_rows(cfg: WeightConfig, lo, hi) -> np.ndarray:
+    """log_nu_all for the degrees lo..hi, shape (hi - lo + 1, hi)."""
+    return _multiplier_rows(cfg, lo, hi, _log_nu)
+
+
+def _nu_rows(cfg: WeightConfig, lo, hi) -> np.ndarray:
+    """multiplier_nu_all for the degrees lo..hi, shape (hi - lo + 1, hi)."""
+    return _multiplier_rows(cfg, lo, hi, _nu)
+
+
 def log_nu_all(cfg: WeightConfig, n) -> np.ndarray:
     """log of the multiplier for ell = 1..n; stays finite when nu underflows."""
     n = _check_n(n)
-    ell = np.arange(1, n + 1, dtype=float)
-    return _log_nu(cfg.rho, float(n), ell, log_mu_all(cfg, n)[1:])
-
-
-def log_nu_rows(cfg: WeightConfig, ns) -> np.ndarray:
-    """log of the multipliers for a block of degrees, shape (len(ns), max(ns)).
-
-    Column ell - 1 of row i equals log_nu_all(cfg, ns[i]) bit for bit for
-    ell <= ns[i].  The cells past it are finite and meaningless: mask them.
-    """
-    ns = np.asarray(ns, dtype=float)[:, None]
-    ell = np.arange(1, int(ns.max()) + 1, dtype=float)
-    return _log_nu(cfg.rho, ns, ell, log_mu_rows(cfg, ns[:, 0])[:, 1:])
+    return _log_nu_rows(cfg, n, n)[0]
 
 
 def multiplier_nu_all(cfg: WeightConfig, n) -> np.ndarray:
     """Multipliers nu(n, ell) for ell = 1..n (linear domain)."""
     n = _check_n(n)
-    ell = np.arange(1, n + 1, dtype=float)
-    return _nu(cfg.rho, n, ell, log_mu_all(cfg, n)[1:])
-
-
-def multiplier_nu_rows(cfg: WeightConfig, ns) -> np.ndarray:
-    """Multipliers for a block of degrees, shape (len(ns), max(ns)).
-
-    Column ell - 1 of row i equals multiplier_nu_all(cfg, ns[i]) bit for bit
-    for ell <= ns[i], and holds 0 past it.
-    """
-    ns = np.asarray(ns, dtype=float)[:, None]
-    ell = np.arange(1, int(ns.max()) + 1, dtype=float)
-    nu = _nu(cfg.rho, ns, ell, log_mu_rows(cfg, ns[:, 0])[:, 1:])
-    return np.where(ell <= ns, nu, 0.0)
+    return _nu_rows(cfg, n, n)[0]
 
 
 def multiplier_nu(cfg: WeightConfig, n, ell) -> float:

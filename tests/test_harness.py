@@ -44,8 +44,8 @@ from durrmeyer.harness import (
 )
 from durrmeyer.orthopoly import cesaro_factors
 from durrmeyer.specfun import log_gamma
-from durrmeyer.spectrum import (log_mu_all, log_nu_all, multiplier_nu_all,
-                                multiplier_nu_rows, nu_second)
+from durrmeyer.spectrum import (_nu_rows, log_mu_all, log_nu_all,
+                                multiplier_nu_all, nu_second)
 from durrmeyer.suite import eigenfunction_suite, get_suite
 
 
@@ -278,9 +278,8 @@ def test_mult_id_block_tables_match_the_per_degree_scan():
 def test_eq24_cumulative_sums_match_the_cesaro_loop():
     for rho in (-0.9, 0.0, 6.0):
         cfg = config_for_rho(rho)
-        ns = np.arange(2, 257)
-        combo = _eq24_combo_rows(multiplier_nu_rows(cfg, ns))
-        for row, n in zip(combo, ns):
+        combo = _eq24_combo_rows(_nu_rows(cfg, 2, 256))
+        for row, n in zip(combo, range(2, 257)):
             want = _eq24_combo_factors(cfg, n)
             assert np.max(np.abs(row[:n + 1] - want)) <= 1e-14, (rho, n)
             assert not row[n + 1:].any(), (rho, n)

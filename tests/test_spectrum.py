@@ -6,12 +6,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from durrmeyer.spectrum import (DegeneracyError, WeightConfig, c_n, c_n_prime,
+from durrmeyer.spectrum import (DegeneracyError, WeightConfig, _log_mu_rows,
+                                _log_nu_rows, _nu_rows, c_n, c_n_prime,
                                 c_n_second, config_for_rho, eigenvalue_mu,
                                 eigenvalue_mu_all, eigenvalue_mu_over_n,
-                                log_mu_all, log_mu_rows, log_nu_all,
-                                log_nu_rows, mu_continuous, multiplier_nu,
-                                multiplier_nu_all, multiplier_nu_rows,
+                                log_mu_all, log_nu_all, mu_continuous,
+                                multiplier_nu, multiplier_nu_all,
                                 nu_continuous, nu_prime, nu_second)
 
 RHO1 = config_for_rho(1.0)
@@ -310,20 +310,17 @@ def test_log_mu_all_joint_vs_pair():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_row_tables_match_per_degree_calls_bitwise():
-    """Each row of a block table is the per-degree array, bit for bit, and
-    the cells past the degree raise no warning."""
-    for rho in (-0.9, 0.0, 2.5, 6.0):
+def test_block_tables_hold_each_degree_row_then_zeros():
+    """A row of a block of degrees is its degree's own array, and every
+    table holds 0 past the degree without evaluating the factors there."""
+    for rho in (-0.9, 0.0, 6.0):
         cfg = config_for_rho(rho)
-        for ns in (np.arange(1, 130), np.array([7]), np.arange(600, 608)):
-            logmu = log_mu_rows(cfg, ns)
-            lognu = log_nu_rows(cfg, ns)
-            nu = multiplier_nu_rows(cfg, ns)
-            assert logmu.shape == (ns.size, ns.max() + 1)
-            assert lognu.shape == nu.shape == (ns.size, ns.max())
-            for i, n in enumerate(ns):
-                assert np.array_equal(logmu[i, :n + 1], log_mu_all(cfg, n))
-                assert np.all(logmu[i, n + 1:] == logmu[i, n])
-                assert np.array_equal(lognu[i, :n], log_nu_all(cfg, n))
-                assert np.array_equal(nu[i, :n], multiplier_nu_all(cfg, n))
-                assert not nu[i, n:].any()
+        for lo, hi in ((1, 9), (40, 47), (129, 129)):
+            for rows, per_degree, first in ((_log_mu_rows, log_mu_all, 0),
+                                            (_log_nu_rows, log_nu_all, 1),
+                                            (_nu_rows, multiplier_nu_all, 1)):
+                table = rows(cfg, lo, hi)
+                assert table.shape == (hi - lo + 1, hi + 1 - first)
+                for row, n in zip(table, range(lo, hi + 1)):
+                    assert np.array_equal(row[:n + 1 - first], per_degree(cfg, n))
+                    assert not row[n + 1 - first:].any()
