@@ -253,13 +253,29 @@ def _dyadic(n_lo, n_hi):
     return out
 
 
+# Fewest rungs on which _stabilization decides a lemma: on 2 or 3 dyadic
+# degrees from 8 the top sup is still growing, and a single rung is compared
+# with itself.
+_MIN_LADDER = 4
+
+
+def _ladder(which, n_max, keep=lambda n: True, cond=""):
+    """The dyadic degrees 8 <= n <= n_max (that satisfy `keep`) of a
+    stabilization check; too short a ladder raises a ValueError."""
+    ns = [n for n in _dyadic(8, n_max) if keep(n)]
+    if len(ns) < _MIN_LADDER:
+        raise ValueError(
+            "%s needs %d dyadic degrees 8 <= n <= %d%s to decide stabilization "
+            "(n_max >= 64 at the defaults), got %d" % (which, _MIN_LADDER, n_max,
+                                                       cond, len(ns)))
+    return ns
+
+
 def _check_sup_simple(which, rhos, n_max, t0):
     """L3: sup of ell (nu_ell - nu_{ell+1}); L4: sup of the weighted absolute
     second-difference sum.  Both pass via sup stabilization."""
     _require_nonneg(rhos, which)
-    ns = _dyadic(8, n_max)
-    if not ns:
-        raise ValueError("no degree satisfies 8 <= n <= %d" % n_max)
+    ns = _ladder(which, n_max)
     rows = []
     overall = 0.0
     for rho in rhos:
@@ -365,10 +381,8 @@ def _check_l6(rhos, n_max, delta, b, t0):
         raise ValueError("need 0 < delta <= 1, got %g" % delta)
     if b <= 0.0:
         raise ValueError("need b > 0, got %g" % b)
-    ns = [n for n in _dyadic(8, n_max)
-          if n >= 3 and 1.0 <= math.sqrt(b * n) <= n - 1]
-    if not ns:
-        raise ValueError("no degree satisfies 1 <= sqrt(b n) <= n-1")
+    ns = _ladder("L6", n_max, lambda n: 1.0 <= math.sqrt(b * n) <= n - 1,
+                 " with 1 <= sqrt(b n) <= n-1")
     rows = []
     overall = 0.0
     for rho in rhos:
@@ -760,7 +774,7 @@ def estimate_operator_norm(kind, p, n, cfg=None, seed=DEFAULT_SEED,
     rule = kfunc.norm_rule(cfg, L)
     mat_rule = basis.eval_all(rule.nodes)
     # only the max norm reads the sup grid
-    mat_grid = basis.eval_all(kfunc.sup_points(cfg)) if p == math.inf else None
+    mat_grid = kfunc.sup_matrix(cfg, L) if p == math.inf else None
     size = mat_rule.shape[1]
 
     adversaries = [np.ones(size), (-1.0) ** np.arange(size)]
@@ -784,9 +798,8 @@ def estimate_operator_norm(kind, p, n, cfg=None, seed=DEFAULT_SEED,
 
     def norm_p(flat):
         if p == math.inf:
-            return float(np.max(np.abs(mat_grid @ flat)))
-
-        return lp_norm(mat_rule @ flat, rule, p)
+            return float(np.max(np.abs(kfunc.leading_product(mat_grid, flat))))
+        return lp_norm(kfunc.leading_product(mat_rule, flat), rule, p)
 
     worst = 0.0
     for flat in adversaries:

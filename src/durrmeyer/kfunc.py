@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,19 +170,49 @@ def norm_rule(cfg: WeightConfig, L, kinks=()):
     return simplex_rule_2d(cfg, 2 * int(L) + 8)
 
 
+def leading_product(mat, flat):
+    """mat @ flat from the leading columns that carry the nonzero entries of
+    flat.  The trailing entries are exact zeros and add nothing, so only
+    the order in which BLAS sums the products can change: a band-L
+    operator output of degree n needs the first n+1 blocks only."""
+    nonzero = np.flatnonzero(flat)
+    k = int(nonzero[-1]) + 1 if nonzero.size else 0
+    return mat[:, :k] @ flat[:k]
+
+
+# Sup-grid synthesis matrices, one per (cfg, band, kinks), shared while any
+# holder keeps theirs and freed with the last one; the cache pins nothing.
+_SUP_MATRICES = weakref.WeakValueDictionary()
+
+
+def sup_matrix(cfg: WeightConfig, L, kinks=()):
+    """Read-only band-L basis values on sup_points(cfg, kinks)."""
+    key = (cfg, int(L), tuple(kinks))
+    mat = _SUP_MATRICES.get(key)
+    if mat is None:
+        mat = get_basis(cfg, L).eval_all(sup_points(cfg, kinks))
+        mat.flags.writeable = False
+        _SUP_MATRICES[key] = mat
+    return mat
+
+
 class NormContext:
     """Caches rule nodes, sup grid, basis synthesis matrices and f-values so
     repeated norms against one f are matrix-vector products.
 
     Norms at p = 2 come from Parseval, so the synthesis matrices and the
     f-values on the grid are built on first use at another p; only f on
-    the rule nodes is needed up front, for the tail norm."""
+    the rule nodes is needed up front, for the tail norm.  A band-limited g
+    is synthesized from its leading nonzero blocks only.  The sup-grid
+    matrix is the one `sup_matrix` shares, unless an explicit grid is
+    given."""
 
     def __init__(self, cfg, f_coeffs, f_fn=None, kinks=(), rule=None, grid=None):
         self.cfg = cfg
         self.coeffs = f_coeffs
         self.kinks = tuple(kinks)
         self.rule = rule if rule is not None else norm_rule(cfg, f_coeffs.max_degree, self.kinks)
+        self._own_grid = grid is not None
         self.grid = grid if grid is not None else sup_points(cfg, self.kinks)
         self._basis = get_basis(cfg, f_coeffs.max_degree)
         self._f_fn = f_fn
@@ -201,7 +232,9 @@ class NormContext:
 
     @functools.cached_property
     def mat_grid(self):
-        return self._basis.eval_all(self.grid)
+        if self._own_grid:
+            return self._basis.eval_all(self.grid)
+        return sup_matrix(self.cfg, self.coeffs.max_degree, self.kinks)
 
     @functools.cached_property
     def f_rule(self):
@@ -227,8 +260,8 @@ class NormContext:
             return math.sqrt(band.norm2() ** 2 + self.tail_norm ** 2)
         flat = g.flat()
         if p == math.inf:
-            return float(np.max(np.abs(self.f_grid - self.mat_grid @ flat)))
-        return lp_norm(self.f_rule - self.mat_rule @ flat, self.rule, p)
+            return float(np.max(np.abs(self.f_grid - leading_product(self.mat_grid, flat))))
+        return lp_norm(self.f_rule - leading_product(self.mat_rule, flat), self.rule, p)
 
     def norm_band(self, g: SpectralCoefficients, p):
         """||g||_p for band-limited g."""
@@ -236,8 +269,8 @@ class NormContext:
             return g.norm2()
         flat = g.flat()
         if p == math.inf:
-            return float(np.max(np.abs(self.mat_grid @ flat)))
-        return lp_norm(self.mat_rule @ flat, self.rule, p)
+            return float(np.max(np.abs(leading_product(self.mat_grid, flat))))
+        return lp_norm(leading_product(self.mat_rule, flat), self.rule, p)
 
 
 def default_candidates(cfg: WeightConfig, f: SpectralCoefficients, t,

@@ -166,6 +166,25 @@ def test_exit_two_on_lemma_ladder_below_eight(capsys):
     assert "config error" in err and "8 <= n <= 7" in err
 
 
+@pytest.mark.parametrize("n_stop, rungs", [(8, 1), (16, 2), (32, 3)])
+def test_exit_two_on_lemma_ladder_too_short_to_decide(n_stop, rungs, tmp_path, capsys):
+    # 8 once read as a pass (one rung against itself), 16 and 32 as L4 and
+    # L6 failures while the top rung was still growing
+    rc = run_main(["--command", "verify-lemmas", "--n-stop", str(n_stop),
+                   "--out", str(tmp_path / "lemmas.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "needs 4 dyadic degrees" in err
+    assert "8 <= n <= %d" % n_stop in err and err.rstrip().endswith("got %d" % rungs)
+    assert not (tmp_path / "lemmas.csv").exists()
+
+
+def test_lemma_ladder_of_four_rungs_passes(tmp_path):
+    rc = run_main(["--command", "verify-lemmas", "--n-stop", "64",
+                   "--out", str(tmp_path / "lemmas.csv")])
+    assert rc == 0
+
+
 def test_exit_three_on_degeneracy(tmp_path, monkeypatch):
     def explode(*args, **kwargs):
         raise DegeneracyError("tau pinned to the band edge")

@@ -65,6 +65,19 @@ def test_lemma_argument_validation():
         check_lemma("L4", rhos=(-0.5,))
 
 
+def test_stabilization_ladders_below_four_rungs_raise():
+    for lemma_id in ("L3", "L4", "L6"):
+        for n_max in (7, 8, 16, 32, 63):
+            with pytest.raises(ValueError, match="%s needs 4 dyadic degrees" % lemma_id):
+                check_lemma(lemma_id, rhos=(0.0,), n_max=n_max)
+        assert check_lemma(lemma_id, rhos=(0.0,), n_max=64).passed
+    # L6 counts only the rungs with 1 <= sqrt(b n) <= n-1: at b = 16 these
+    # start at 32, so 128 gives three
+    with pytest.raises(ValueError, match="sqrt"):
+        check_lemma("L6", rhos=(0.0,), n_max=128, b=16.0)
+    assert check_lemma("L6", rhos=(0.0,), n_max=256, b=16.0).rows
+
+
 def test_digamma_gap_spot_value():
     # rho = 0, n = 2, tau = 1: psi(4) - psi(2) = 1/2 + 1/3
     cfg = config_for_rho(0.0)

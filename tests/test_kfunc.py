@@ -5,7 +5,9 @@ The p = 2 minimum has two independent oracles here: a closed form on single
 eigenfunctions and a second-order cone solve on random coefficient vectors.
 """
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from durrmeyer import (
     config_for_rho,
     default_candidates,
     eigenvalue_mu,
+    estimate_operator_norm,
     k_bracket,
     k_exact_p2,
     k_lower,
@@ -261,18 +264,57 @@ def test_norm_context_builds_matrices_on_first_use_at_p_not_2(cfg, with_fn, monk
         f_rule, f_grid = tf.fn(ctx.rule.nodes), tf.fn(ctx.grid)
     else:
         f_rule, f_grid = mat_rule @ coeffs.flat(), mat_grid @ coeffs.flat()
-    flat = g.flat()
+    # g = M_4 f has degree 4: g is synthesized from its leading 5 blocks
+    k = int(np.flatnonzero(g.flat())[-1]) + 1
+    assert k == (5 if cfg.d == 1 else 15)
+    flat = g.flat()[:k]
+    g_rule, g_grid = mat_rule[:, :k] @ flat, mat_grid[:, :k] @ flat
     want = {1: (lp_norm(f_rule, ctx.rule, 1),
-                lp_norm(f_rule - mat_rule @ flat, ctx.rule, 1),
-                lp_norm(mat_rule @ flat, ctx.rule, 1)),
+                lp_norm(f_rule - g_rule, ctx.rule, 1),
+                lp_norm(g_rule, ctx.rule, 1)),
             math.inf: (float(np.max(np.abs(f_grid))),
-                       float(np.max(np.abs(f_grid - mat_grid @ flat))),
-                       float(np.max(np.abs(mat_grid @ flat))))}
+                       float(np.max(np.abs(f_grid - g_grid))),
+                       float(np.max(np.abs(g_grid))))}
     del calls[:]
     for p in (math.inf, 1):
         assert (ctx.norm_f(p), ctx.norm_diff(g, p), ctx.norm_band(g, p)) == want[p]
     # one synthesis per point set, on first use only
     assert sorted(calls) == sorted([len(ctx.rule.nodes), len(ctx.grid)])
+
+
+def test_sup_grid_matrix_is_shared_while_held_and_freed_with_the_last(monkeypatch):
+    cfg, n = WeightConfig(2, (0.25, -0.5, 0.75)), 4
+    size = (2 * n + 1) * (2 * n + 2) // 2
+    coeffs = SpectralCoefficients.from_flat(
+        cfg, np.random.default_rng(206).uniform(-1.0, 1.0, size))
+    basis = get_basis(cfg, 2 * n)
+    calls = []
+    real_eval_all = type(basis).eval_all
+    monkeypatch.setattr(type(basis), "eval_all",
+                        lambda self, x: calls.append(len(x)) or real_eval_all(self, x))
+    ctx = NormContext(cfg, coeffs)
+    mat = ctx.mat_grid
+    grid_size = len(ctx.grid)
+    assert calls == [grid_size]
+    assert not mat.flags.writeable
+    with pytest.raises(ValueError):
+        mat[0, 0] = 1.0
+
+    # the operator-norm estimate at the context's band reads the same matrix
+    del calls[:]
+    shared = estimate_operator_norm("cesaro", math.inf, n, cfg=cfg)
+    assert calls and grid_size not in calls
+    # a context with an explicit grid keeps its own
+    own = NormContext(cfg, coeffs, grid=ctx.grid).mat_grid
+    assert own is not mat and own.flags.writeable and np.array_equal(own, mat)
+
+    ref = weakref.ref(mat)
+    del ctx, mat
+    gc.collect()
+    assert ref() is None
+    del calls[:]
+    assert estimate_operator_norm("cesaro", math.inf, n, cfg=cfg) == shared
+    assert calls.count(grid_size) == 1
 
 
 def test_bracket_container_invariant():

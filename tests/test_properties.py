@@ -4,8 +4,9 @@ the flat coefficient container against blockwise arithmetic, the log-gamma
 ratio's symmetry and recurrence, the successive-degree eigenvalue identity,
 the 2-D Bernstein kernel against the 3-D one it replaced, the mode-anchored
 Bernstein sum against the Bernstein matrix, the triangle basis against the
-per-j recurrence it replaced, and the memoized eigenvalue factors and
-Gauss rules against fresh computations.
+per-j recurrence it replaced, the memoized eigenvalue factors and Gauss
+rules against fresh computations, and norms of band-limited functions
+synthesized from their leading blocks against the full synthesis matrix.
 
 Examples are bounded and derandomized so the suite stays fast and repeatable.
 """
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from durrmeyer import SpectralCoefficients, WeightConfig, k_exact_p2
+from durrmeyer import NormContext, SpectralCoefficients, WeightConfig, k_exact_p2, lp_norm
 from durrmeyer.operators import (_bernstein_matrix, _bernstein_sum, _g_n_factors,
                                  _log_multinomial, _mu_factors, index_range)
 from durrmeyer.orthopoly import TriangleBasis, _jacobi_recurrence_terms, block_size
@@ -504,3 +505,53 @@ def test_memoized_gauss_rule_is_read_only_and_equals_fresh_bitwise(a, b, m):
     for got, want in ((rule.nodes, fresh.nodes), (rule.weights, fresh.weights)):
         assert not got.flags.writeable
         assert _same_bits(got, want)
+
+
+@st.composite
+def cut_coefficients(draw):
+    """Random f and a top degree; g is f with every block above the top set
+    to exact zero (top = -1 gives g = 0)."""
+    f = draw(coefficients())
+    return f, draw(st.integers(-1, f.max_degree))
+
+
+_CUT_1D = SpectralCoefficients.from_flat(
+    WeightConfig(1, (0.5, -0.5)), np.random.default_rng(12).uniform(-1.0, 1.0, 9))
+_CUT_2D = SpectralCoefficients.from_flat(
+    WeightConfig(2, (0.0, 0.5, -0.5)), np.random.default_rng(12).uniform(-1.0, 1.0, 21))
+
+
+@PROPERTY
+@given(cut_coefficients(), st.sampled_from((1, math.inf)))
+@example((_CUT_1D, -1), 1)
+@example((_CUT_1D, -1), math.inf)
+@example((_CUT_1D, 8), math.inf)
+@example((_CUT_2D, -1), math.inf)
+@example((_CUT_2D, 5), 1)
+@example((_CUT_2D, 5), math.inf)
+def test_leading_block_norms_match_the_full_synthesis(cut, p):
+    f, top = cut
+    cfg = f.cfg
+    flat = f.flat().copy()
+    flat[f.offsets[top + 1]:] = 0.0
+    g = SpectralCoefficients.from_flat(cfg, flat)
+    ctx = NormContext(cfg, f)
+    if p == math.inf:
+        mat, f_vals = ctx.mat_grid, ctx.f_grid
+        norm = lambda v: float(np.max(np.abs(v)))  # noqa: E731
+    else:
+        mat, f_vals = ctx.mat_rule, ctx.f_rule
+        norm = lambda v: lp_norm(v, ctx.rule, 1)  # noqa: E731
+    got = (ctx.norm_band(g, p), ctx.norm_diff(g, p))
+    want = (norm(mat @ flat), norm(f_vals - mat @ flat))
+    # Each side sums the same nonzero products in a different order, so a
+    # point value moves by at most 2 k eps (|M| |g|) for k summed columns;
+    # the finite-p norm's own sum adds (number of nodes) eps of the norm.
+    k = flat.size + (0 if p == math.inf else ctx.rule.nodes.shape[0])
+    envelope = np.abs(mat) @ np.abs(flat)
+    bounds = (norm(envelope), norm(np.abs(f_vals) + envelope))
+    for a, b, bound in zip(got, want, bounds):
+        assert abs(a - b) <= 2.0 * k * EPS * bound
+    if flat[-1] != 0.0:
+        # nothing is cut: the same product, bit for bit
+        assert got == want
