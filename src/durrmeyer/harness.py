@@ -779,15 +779,16 @@ def estimate_operator_norm(kind, p, n, cfg=None, seed=DEFAULT_SEED,
 
     adversaries = [np.ones(size), (-1.0) ** np.arange(size)]
     half = get_basis(cfg, L // 2)
+    half_rule = half.eval_all(rule.nodes)
     for x0 in (0.005, 0.5, 0.995):
         pt = np.array([x0]) if cfg.d == 1 else np.array([[x0, (1.0 - x0) / 2.0]])
         adversaries.append(basis.eval_all(pt).reshape(-1))
         # positive concentrated bump: squared half-band reproducing kernel,
-        # degree 2*floor(L/2) <= L, so the projection is exact
+        # degree 2*floor(L/2) <= L, so its projection on the rule is exact;
+        # the product is the one `project` forms, from the matrices in hand
         c0 = half.eval_all(pt).reshape(-1)
-        bump = project(lambda x, c=c0: (half.eval_all(np.atleast_1d(x)) @ c) ** 2,
-                       cfg, L, rule=rule)
-        adversaries.append(bump.flat())
+        bump = mat_rule.T @ (rule.weights * (half_rule @ c0) ** 2)
+        adversaries.append(SpectralCoefficients.from_flat(cfg, bump).flat())
     rng = np.random.default_rng(seed)
     for _ in range(3):
         adversaries.append(rng.uniform(-1.0, 1.0, size))

@@ -148,9 +148,15 @@ def k_exact_p2(cfg: WeightConfig, f: SpectralCoefficients, t, tail_norm=0.0):
     return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
 
 
+def _no_kinks_on_triangle(kinks):
+    if kinks:
+        raise ValueError("kink splits are only supported for d = 1")
+
+
 def sup_points(cfg: WeightConfig, kinks=()):
     """Dense max-norm grid, refined near any interior kink locations."""
     if cfg.d == 2:
+        _no_kinks_on_triangle(kinks)
         return sup_grid_2d()
     base = sup_grid()
     if not kinks:
@@ -167,6 +173,7 @@ def norm_rule(cfg: WeightConfig, L, kinks=()):
     """Quadrature rule for finite-p norms of band-L synthesis against w."""
     if cfg.d == 1:
         return interval_rule(cfg.alphas, int(L) + 24, splits=tuple(kinks))
+    _no_kinks_on_triangle(kinks)
     return simplex_rule_2d(cfg, 2 * int(L) + 8)
 
 

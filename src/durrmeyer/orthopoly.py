@@ -239,9 +239,25 @@ class TriangleBasis:
         if cfg.d != 2:
             raise ValueError("TriangleBasis needs d = 2")
         self.cfg = cfg
-        self.L = int(L)
-        self.size = (self.L + 1) * (self.L + 2) // 2
-        rule = simplex_rule_2d(cfg, 2 * self.L + 2)
+        self.L = L = int(L)
+        self.size = (L + 1) * (L + 2) // 2
+        a1, a2, a3 = cfg.alphas
+        # Recurrence tables, which depend on the weight and the band only:
+        # scalars for the inner steps j = 1..L-1, and for the outer steps
+        # columns over the inner index j, whose parameter is
+        # A_j = 2j + a2 + a3 + 1; outer step m writes rows _rows[m, :L-m+1].
+        self._inner_first = (0.5 * (a3 + a2 + 2.0), 0.5 * (a3 - a2))
+        self._inner_terms = tuple(_jacobi_recurrence_terms(j, a3, a2)
+                                  for j in range(1, L))
+        j = np.arange(L + 1)
+        A = (2.0 * j[:L] + a2 + a3 + 1.0)[:, None]
+        self._outer_first = np.stack((0.5 * (A + a1 + 2.0), 0.5 * (A - a1)))
+        self._outer_terms = np.stack(
+            _jacobi_recurrence_terms(np.arange(1.0, L)[:, None, None], A, a1))
+        self._rows = (j[:, None] + j) * (j[:, None] + j + 1) // 2 + j
+        for table in (self._outer_first, self._outer_terms, self._rows):
+            table.flags.writeable = False
+        rule = simplex_rule_2d(cfg, 2 * L + 2)
         raw = np.ascontiguousarray(self._eval_raw(rule.nodes).T)
         norms = np.sqrt(np.einsum("q,qb,qb->b", rule.weights, raw, raw))
         if not np.all(norms > 0.0):
@@ -260,47 +276,54 @@ class TriangleBasis:
 
         Row flat_index(ell, j) holds phi_{ell,j} before normalization.  The
         outer recurrence advances one degree step m for every inner index j
-        at once, so each step writes whole contiguous rows.  Per value the
-        float operations are those of a separate recurrence for each j.
+        at once, so each step writes whole contiguous rows.  The step
+        constants and destination rows come from the tables built in
+        __init__, and the steps reuse three (L, npoints) buffers through
+        out=.  Per value the float operations are those of a separate
+        recurrence for each j with its constants computed on the spot, in
+        the same order; only operands of + and * trade sides and products
+        with P_0 = 1 are left out, both exact, so the values keep their bits.
         """
         pts = np.asarray(pts, dtype=float)
         x1, x2 = pts[:, 0], pts[:, 1]
-        a1, a2, a3 = self.cfg.alphas
         npts, L = x1.size, self.L
 
         # homogenized inner factors R_j(s, y) = s^j P_j^{(a3,a2)}(2y/s - 1)
         s = 1.0 - x1
         v = 2.0 * x2 - s
+        s2 = s * s
         inner = np.empty((L + 1, npts))
         inner[0] = 1.0
         if L >= 1:
-            inner[1] = 0.5 * (a3 + a2 + 2.0) * v + 0.5 * (a3 - a2) * s
-        for j in range(1, L):
-            c1, c2, c3, c4 = _jacobi_recurrence_terms(j, a3, a2)
-            inner[j + 1] = ((c2 * s + c3 * v) * inner[j]
-                            - c4 * (s * s) * inner[j - 1]) / c1
+            e1, e2 = self._inner_first
+            inner[1] = e1 * v + e2 * s
+        for j, (c1, c2, c3, c4) in enumerate(self._inner_terms, start=1):
+            inner[j + 1] = ((c2 * s + c3 * v) * inner[j] - c4 * s2 * inner[j - 1]) / c1
 
-        # outer factors P_m^{(A_j, a1)}(u), row j of p_cur for j = 0..L-m
-        u = 2.0 * x1 - 1.0
-        j = np.arange(L + 1)
-        A = (2.0 * j + a2 + a3 + 1.0)[:, None]
-        B = a1
+        # outer factors P_m^{(A_j, a1)}(u), row j of p_cur for j = 0..L-m;
+        # P_0 = 1, so degree-0 rows are the inner factors themselves
         out = np.empty((self.size, npts))
-        p_prev = None
-        p_cur = np.ones((L + 1, npts))
-        for m in range(L + 1):
+        out[self._rows[0]] = inner
+        if L == 0:
+            return out
+        u = 2.0 * x1 - 1.0
+        e1, e2 = self._outer_first
+        p_prev = np.ones((L, npts))
+        p_cur = e1 * u + e2
+        tmp = np.empty((L, npts))
+        for m in range(1, L):
             k = L - m + 1
-            ell = j[:k] + m
-            out[ell * (ell + 1) // 2 + j[:k]] = p_cur * inner[:k]
-            if m == L:
-                break
-            if m == 0:
-                p_next = (0.5 * (A[:k - 1] + B + 2.0) * u
-                          + 0.5 * (A[:k - 1] - B)) * p_cur[:k - 1]
-            else:
-                c1, c2, c3, c4 = _jacobi_recurrence_terms(m, A[:k - 1], B)
-                p_next = ((c2 + c3 * u) * p_cur[:k - 1] - c4 * p_prev[:k - 1]) / c1
+            out[self._rows[m, :k]] = np.multiply(p_cur[:k], inner[:k], out=tmp[:k])
+            c1, c2, c3, c4 = self._outer_terms[:, m - 1, :k - 1]
+            # p_next = ((c2 + c3 u) p_cur - c4 p_prev) / c1, into p_prev's rows
+            c4p = np.multiply(c4, p_prev[:k - 1], out=tmp[:k - 1])
+            p_next = np.multiply(c3, u, out=p_prev[:k - 1])
+            p_next += c2
+            p_next *= p_cur[:k - 1]
+            p_next -= c4p
+            p_next /= c1
             p_prev, p_cur = p_cur, p_next
+        out[self._rows[L, :1]] = p_cur[:1] * inner[:1]
         return out
 
     def eval_all(self, pts) -> np.ndarray:
@@ -312,7 +335,9 @@ class TriangleBasis:
         normalization multiply that writes the block of the output: every
         value is the same product as in a column-by-column fill, and beside
         the output only one block of raw values is held, not a second full
-        matrix.
+        matrix.  Everything that depends on the basis alone (recurrence
+        constants, destination rows, inverse norms) is tabulated once per
+        basis, so a call does only arithmetic on its points.
         """
         pts = np.asarray(pts, dtype=float)
         out = np.empty((pts.shape[0], self.size))

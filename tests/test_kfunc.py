@@ -31,6 +31,7 @@ from durrmeyer import (
     project,
     projection_rule,
 )
+from durrmeyer import kfunc
 from durrmeyer.orthopoly import get_basis
 from durrmeyer.suite import get_suite
 
@@ -315,6 +316,44 @@ def test_sup_grid_matrix_is_shared_while_held_and_freed_with_the_last(monkeypatc
     del calls[:]
     assert estimate_operator_norm("cesaro", math.inf, n, cfg=cfg) == shared
     assert calls.count(grid_size) == 1
+
+
+def test_kinks_on_the_triangle_raise_and_cache_nothing():
+    cfg = WeightConfig(2, (0.0, 0.0, 0.0))
+    coeffs = SpectralCoefficients.zeros(cfg, 4)
+    for call in (lambda: kfunc.sup_points(cfg, (0.3,)),
+                 lambda: kfunc.norm_rule(cfg, 4, (0.3,)),
+                 lambda: kfunc.sup_matrix(cfg, 4, (0.3,)),
+                 lambda: NormContext(cfg, coeffs, kinks=(0.3,))):
+        with pytest.raises(ValueError, match="kink splits are only supported for d = 1"):
+            call()
+    assert (cfg, 4, (0.3,)) not in kfunc._SUP_MATRICES
+    assert NormContext(cfg, coeffs, kinks=()).norm_band(coeffs, 1) == 0.0
+
+
+def test_operator_norm_evaluates_each_basis_once_on_the_rule(monkeypatch):
+    cfg, n = WeightConfig(2, (0.5, -0.5, 1.0)), 4
+    L = 2 * n
+    rule = kfunc.norm_rule(cfg, L)
+    basis, half = get_basis(cfg, L), get_basis(cfg, L // 2)
+    # reference: each bump is the projection of the squared half-band kernel
+    bumps = []
+    for x0 in (0.005, 0.5, 0.995):
+        c0 = half.eval_all(np.array([[x0, (1.0 - x0) / 2.0]])).reshape(-1)
+        bumps.append(project(lambda x, c=c0: (half.eval_all(np.atleast_1d(x)) @ c) ** 2,
+                             cfg, L, rule=rule).flat())
+
+    calls, flats = [], []
+    real_eval_all, real_from_flat = type(basis).eval_all, SpectralCoefficients.from_flat
+    monkeypatch.setattr(type(basis), "eval_all", lambda self, x: (
+        calls.append((self.L, len(x))) or real_eval_all(self, x)))
+    monkeypatch.setattr(SpectralCoefficients, "from_flat", classmethod(
+        lambda cls, c, values: flats.append(np.array(values)) or real_from_flat(c, values)))
+    estimate_operator_norm("cesaro", 2, n, cfg=cfg)
+    nrule = len(rule.nodes)
+    assert sorted(calls) == sorted([(L, nrule), (L // 2, nrule)] + [(L, 1), (L // 2, 1)] * 3)
+    for want in bumps:
+        assert any(np.array_equal(got.view(np.int64), want.view(np.int64)) for got in flats)
 
 
 def test_bracket_container_invariant():

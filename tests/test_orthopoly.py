@@ -284,6 +284,16 @@ def test_triangle_basis_blocks_equal_one_pass_bitwise(monkeypatch):
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+@pytest.mark.parametrize("cfg, L", [(WeightConfig(2, (0.5, -0.5, 1.0)), 0),
+                                    (WeightConfig(2, (0.5, -0.5, 1.0)), 12),
+                                    (WeightConfig(1, (0.5, -0.5)), 0),
+                                    (WeightConfig(1, (0.5, -0.5)), 12)])
+def test_eval_all_on_no_points_has_no_rows(cfg, L):
+    basis = get_basis(cfg, L)
+    got = basis.eval_all(np.empty((0, 2)) if cfg.d == 2 else np.empty(0))
+    assert got.shape == (0, basis.size)
+
+
 def _interval_column_fill(basis, x):
     """IntervalBasis values filled one strided column per degree, each
     computed from the two columns before it: the reference for the fill

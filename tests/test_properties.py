@@ -463,6 +463,10 @@ def _same_bits(a, b):
 @PROPERTY
 @given(st.tuples(*[st.floats(-1.0, 3.0, exclude_min=True)] * 3),
        st.integers(0, 40), st.lists(triangle_points(), max_size=6))
+# bands with no inner step and at most one outer step
+@example((0.0, 0.0, 0.0), 0, [])
+@example((0.5, -0.5, 1.0), 1, [(0.25, 0.25)])
+@example((-0.75, 2.0, 0.5), 2, [(1.0 / 3.0, 1.0 / 3.0), (0.5, 0.0)])
 def test_triangle_basis_equals_per_j_reference_bitwise(alphas, L, extra):
     cfg = WeightConfig(2, alphas)
     basis = TriangleBasis(cfg, L)
