@@ -798,6 +798,10 @@ def estimate_operator_norm(kind, p, n, cfg=None, seed=DEFAULT_SEED,
          for a in list(adversaries)])
 
     def norm_p(flat):
+        if p == 2:
+            # Parseval: the rule integrates degree 2L exactly, so synthesis
+            # on it would give this norm up to rounding
+            return float(np.sqrt(np.dot(flat, flat)))
         if p == math.inf:
             return float(np.max(np.abs(kfunc.leading_product(mat_grid, flat))))
         return lp_norm(kfunc.leading_product(mat_rule, flat), rule, p)

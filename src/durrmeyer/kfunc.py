@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import apply_durrmeyer_spectral, apply_P_spectral, build_g_n
-from .orthopoly import SpectralCoefficients, cesaro_factors, get_basis
+from .orthopoly import SpectralCoefficients, _cesaro_block_factors, get_basis
 from .quadrature import interval_rule, lp_norm, simplex_rule_2d, sup_grid, sup_grid_2d
 from .spectrum import WeightConfig
 
@@ -182,7 +182,7 @@ def leading_product(mat, flat):
     flat.  The trailing entries are exact zeros and add nothing, so only
     the order in which BLAS sums the products can change: a band-L
     operator output of degree n needs the first n+1 blocks only."""
-    nonzero = np.flatnonzero(flat)
+    nonzero = flat.nonzero()[0]
     k = int(nonzero[-1]) + 1 if nonzero.size else 0
     return mat[:, :k] @ flat[:k]
 
@@ -296,8 +296,7 @@ def default_candidates(cfg: WeightConfig, f: SpectralCoefficients, t,
         out.append(("avg-smoother-%d" % n, build_g_n(cfg, n, f)[0]))
     for m in (n, 2 * n):
         if band_limited or m <= L:
-            factors = cesaro_factors(m, np.arange(L + 1))
-            out.append(("cesaro-%d" % m, f.scaled(factors)))
+            out.append(("cesaro-%d" % m, f.scaled(_cesaro_block_factors(m, L))))
     return out
 
 

@@ -307,11 +307,19 @@ def apply_durrmeyer_spectral(cfg: WeightConfig, n,
     return coeffs.scaled(_mu_factors(cfg, n, coeffs.max_degree))
 
 
+@functools.lru_cache(maxsize=256)
+def _P_factors(cfg, L):
+    """-ell (ell + rho) for ell = 0..L; cached and read-only."""
+    ell = np.arange(L + 1, dtype=float)
+    factors = -ell * (ell + cfg.rho)
+    factors.setflags(write=False)
+    return factors
+
+
 def apply_P_spectral(cfg: WeightConfig,
                      coeffs: SpectralCoefficients) -> SpectralCoefficients:
     """Second-order operator on the blocks: factor -ell(ell + rho)."""
-    ell = np.arange(coeffs.max_degree + 1, dtype=float)
-    return coeffs.scaled(-ell * (ell + cfg.rho))
+    return coeffs.scaled(_P_factors(cfg, coeffs.max_degree))
 
 
 def diff_operator_1d(g):

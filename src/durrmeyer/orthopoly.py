@@ -14,6 +14,7 @@ by 1 - x1.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -35,18 +36,34 @@ def block_size(cfg: WeightConfig, ell) -> int:
     return 1 if cfg.d == 1 else ell + 1
 
 
-def _block_offsets(cfg: WeightConfig, size) -> np.ndarray:
+@functools.lru_cache(maxsize=256)
+def _block_layout(d, size):
     """Start of each degree block in a flat vector of the given length, plus
-    the length itself; raises if the length does not fill whole blocks."""
+    the length itself, and the size of each block; raises if the length
+    does not fill whole blocks.  Both arrays are read-only and shared by
+    every coefficient vector of that dimension and length."""
     if size == 0:
         raise ValueError("need at least the degree-0 block")
-    if cfg.d == 1:
-        return np.arange(size + 1)
-    L = (math.isqrt(8 * size + 1) - 3) // 2
-    if (L + 1) * (L + 2) // 2 != size:
-        raise ValueError("flat vector length does not fill block %d" % (L + 1))
-    ell = np.arange(L + 2)
-    return ell * (ell + 1) // 2
+    if d == 1:
+        offsets = np.arange(size + 1)
+    else:
+        L = (math.isqrt(8 * size + 1) - 3) // 2
+        if (L + 1) * (L + 2) // 2 != size:
+            raise ValueError("flat vector length does not fill block %d" % (L + 1))
+        ell = np.arange(L + 2)
+        offsets = ell * (ell + 1) // 2
+    sizes = np.diff(offsets)
+    offsets.setflags(write=False)
+    sizes.setflags(write=False)
+    return offsets, sizes
+
+
+def _require_finite(arr, what):
+    """Raise a ValueError naming the first non-finite entry of a vector."""
+    finite = np.isfinite(arr)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError("%s %d is %r; %ss must be finite" % (what, i, float(arr[i]), what))
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,9 +72,12 @@ class SpectralCoefficients:
 
     values holds the degree blocks one after another, block ell at
     values[offsets[ell]:offsets[ell + 1]]: one number for d = 1, ell + 1
-    numbers for d = 2.  Instances are immutable (values is read-only);
-    arithmetic returns new objects and requires matching weight config and
-    band.
+    numbers for d = 2.  Instances are immutable: values is a read-only
+    array that no other object writes to, and offsets is a read-only array
+    shared by every vector of the same dimension and length.  The public
+    constructor copies its input; arithmetic wraps the array it has just
+    computed without copying it, returns a new object, and requires
+    matching weight config and band.
     """
 
     cfg: WeightConfig
@@ -66,11 +86,21 @@ class SpectralCoefficients:
 
     def __post_init__(self):
         values = np.array(self.values, dtype=float).reshape(-1)
-        offsets = _block_offsets(self.cfg, values.size)
-        values.flags.writeable = False
-        offsets.flags.writeable = False
+        values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "offsets", _block_layout(self.cfg.d, values.size)[0])
+
+    @classmethod
+    def _wrap(cls, cfg, values, offsets):
+        """Object around values, a vector just computed by the caller that
+        nothing else references; it is made read-only, not copied.  The
+        fields go straight into the instance dict, as the public
+        constructor's do through object.__setattr__."""
+        values.setflags(write=False)
+        out = object.__new__(cls)
+        fields = out.__dict__
+        fields["cfg"], fields["values"], fields["offsets"] = cfg, values, offsets
+        return out
 
     @property
     def max_degree(self) -> int:
@@ -90,10 +120,7 @@ class SpectralCoefficients:
         """Coefficients from a flat vector ordered by degree; every value
         must be finite."""
         out = cls(cfg, values)
-        bad = np.flatnonzero(~np.isfinite(out.values))
-        if bad.size:
-            raise ValueError("coefficient %d is %r; coefficients must be finite"
-                             % (bad[0], float(out.values[bad[0]])))
+        _require_finite(out.values, "coefficient")
         return out
 
     def flat(self) -> np.ndarray:
@@ -109,19 +136,24 @@ class SpectralCoefficients:
         return float(np.sqrt(np.dot(self.values, self.values)))
 
     def scaled(self, factors) -> "SpectralCoefficients":
-        """Multiply block ell by factors[ell]."""
+        """Multiply block ell by factors[ell]; every factor must be finite.
+
+        For d = 1 every block has one entry and the factors multiply the
+        values directly; for d = 2 each factor is repeated over its block."""
         factors = np.asarray(factors, dtype=float)
         if factors.shape != (self.max_degree + 1,):
             raise ValueError("need one factor per block")
-        return SpectralCoefficients(
-            self.cfg, np.repeat(factors, np.diff(self.offsets)) * self.values)
+        _require_finite(factors, "factor")
+        if self.cfg.d != 1:
+            factors = np.repeat(factors, _block_layout(2, self.values.size)[1])
+        return self._wrap(self.cfg, factors * self.values, self.offsets)
 
     def _binary(self, other, op):
         if not isinstance(other, SpectralCoefficients):
             return NotImplemented
         if other.cfg != self.cfg or other.max_degree != self.max_degree:
             raise ValueError("operands differ in weight config or band")
-        return SpectralCoefficients(self.cfg, op(self.values, other.values))
+        return self._wrap(self.cfg, op(self.values, other.values), self.offsets)
 
     def __add__(self, other):
         return self._binary(other, np.add)
@@ -130,7 +162,10 @@ class SpectralCoefficients:
         return self._binary(other, np.subtract)
 
     def __mul__(self, scalar):
-        return SpectralCoefficients(self.cfg, float(scalar) * self.values)
+        s = float(scalar)
+        if not math.isfinite(s):
+            raise ValueError("scalar factor %r is not finite" % s)
+        return self._wrap(self.cfg, s * self.values, self.offsets)
 
     __rmul__ = __mul__
 
@@ -455,4 +490,12 @@ def cesaro_factors(n, ells) -> np.ndarray:
 def cesaro_mean(coeffs: SpectralCoefficients, n) -> SpectralCoefficients:
     """Average of the partial sums S_0..S_n, in closed form per block."""
     n = _check_truncation(coeffs, n)
-    return coeffs.scaled(cesaro_factors(n, np.arange(coeffs.max_degree + 1)))
+    return coeffs.scaled(_cesaro_block_factors(n, coeffs.max_degree))
+
+
+@functools.lru_cache(maxsize=256)
+def _cesaro_block_factors(n, L) -> np.ndarray:
+    """cesaro_factors(n, range(L + 1)), cached and read-only."""
+    factors = cesaro_factors(n, np.arange(L + 1))
+    factors.setflags(write=False)
+    return factors

@@ -30,7 +30,7 @@ from durrmeyer import (
     verify_q_identity,
     verify_telescoping,
 )
-from durrmeyer import harness
+from durrmeyer import harness, kfunc, operators, orthopoly, quadrature
 from durrmeyer.harness import (
     LEMMA_IDS,
     RHO_GRID_NONNEG,
@@ -127,6 +127,19 @@ def test_operator_norm_cesaro():
     tri = WeightConfig(2, (0.0, 0.0, 0.0))
     got2 = estimate_operator_norm("cesaro", 2, 6, cfg=tri)
     assert 0.5 <= got2 <= 1.0 + 1e-9
+
+
+def test_operator_norm_at_p2_synthesizes_nothing(monkeypatch):
+    # Parseval: the norm rule integrates degree 2L exactly, so the p = 2
+    # norms come from the coefficients alone
+    def no_synthesis(*args):
+        raise AssertionError("synthesized a norm at p = 2")
+
+    monkeypatch.setattr(kfunc, "leading_product", no_synthesis)
+    monkeypatch.setattr(harness, "lp_norm", no_synthesis)
+    assert abs(estimate_operator_norm("partial_sum", 2, 8) - 1.0) <= 1e-9
+    tri = WeightConfig(2, (0.5, -0.5, 1.0))
+    assert 0.5 <= estimate_operator_norm("cesaro", 2, 6, cfg=tri) <= 1.0 + 1e-9
 
 
 def test_operator_norm_validation():
@@ -381,6 +394,30 @@ def test_shared_suite_pass_matches_standalone_runs_bitwise():
         else:
             k = k_upper(cfg, fc.coeffs, t, row.p, ctx=fc.ctx)
         assert (_bits(row.lhs), _bits(row.rhs)) == (_bits(err), _bits(2.0 * k))
+
+
+def test_suite_pass_is_identical_with_cold_and_warm_caches(monkeypatch):
+    # The second pass reads the block offsets, factor vectors, bases and
+    # rules the first one cached.  A coefficient object that aliased one of
+    # those shared arrays, or a cached array written through, would change
+    # rows of the second pass.
+    for cache in (orthopoly._block_layout, orthopoly._cesaro_block_factors,
+                  operators._mu_factors, operators._g_n_factors, operators._P_factors,
+                  quadrature._gauss_jacobi_rule):
+        cache.cache_clear()
+    monkeypatch.setattr(orthopoly, "_BASIS_CACHE", type(orthopoly._BASIS_CACHE)())
+    monkeypatch.setattr(kfunc, "_SUP_MATRICES", type(kfunc._SUP_MATRICES)())
+    cfg = config_for_rho(0.5)
+    ps, ns = (1, 2, math.inf), (4, 8)
+    specs = {"DIRECT": (ps, ns), "THM1": (ps, ns)}
+    cold = _suite_checks(cfg, "smoke", 11, 16, specs)
+    assert orthopoly._block_layout.cache_info().hits > 0
+    warm = _suite_checks(cfg, "smoke", 11, 16, specs)
+    for a_report, b_report in zip(cold, warm):
+        assert len(a_report.rows) == len(b_report.rows) > 0
+        for a, b in zip(a_report.rows, b_report.rows):
+            assert [_bits(v) for v in dataclasses.astuple(a)] == \
+                [_bits(v) for v in dataclasses.astuple(b)]
 
 
 def test_kfunc_runner_matches_verify_bracket_bitwise():

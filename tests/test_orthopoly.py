@@ -242,6 +242,10 @@ def test_coefficient_container_validation():
     other = SpectralCoefficients.from_flat(FLAT, np.ones(6))
     with pytest.raises(ValueError):
         coeffs + other
+    # same band, another weight
+    other = SpectralCoefficients.from_flat(WeightConfig(1, (0.5, 0.0)), np.ones(4))
+    with pytest.raises(ValueError, match="weight config or band"):
+        coeffs - other
     with pytest.raises(ValueError):
         coeffs.blocks[0][0] = 2.0
 
@@ -253,6 +257,24 @@ def test_non_finite_coefficients_raise_naming_the_first_index():
     # project builds its result through from_flat
     with pytest.raises(ValueError, match="^coefficient 0 is nan"):
         project(lambda x: np.full(np.shape(x), np.nan), FLAT, 4)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_scalar_raises_naming_it(bad):
+    coeffs = SpectralCoefficients.from_flat(FLAT, [1.0, 0.5, 0.25])
+    for product in (lambda: coeffs * bad, lambda: bad * coeffs):
+        with pytest.raises(ValueError, match="^scalar factor %s is not finite$" % bad):
+            product()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_factor_raises_naming_it(bad):
+    coeffs = SpectralCoefficients.from_flat(FLAT, [1.0, 0.5, 0.25])
+    with pytest.raises(ValueError, match="^factor 1 is %s; factors must be finite$" % bad):
+        coeffs.scaled([1.0, bad, 1.0])
+    tri = SpectralCoefficients.from_flat(WeightConfig(2, (0.0, 0.0, 0.0)), np.ones(6))
+    with pytest.raises(ValueError, match="^factor 2 is %s" % bad):
+        tri.scaled([1.0, 1.0, bad])
 
 
 def test_basis_table_is_cached():

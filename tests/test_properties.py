@@ -1,8 +1,9 @@
 """Property tests over random inputs: the batched p = 2 K search against
 its scalar form and, for accuracy, the golden-section search it replaced,
-the flat coefficient container against blockwise arithmetic, the log-gamma
-ratio's symmetry and recurrence, the successive-degree eigenvalue identity,
-the 2-D Bernstein kernel against the 3-D one it replaced, the mode-anchored
+the flat coefficient container against blockwise arithmetic and its lean
+arithmetic against the public constructor, the log-gamma ratio's symmetry
+and recurrence, the successive-degree eigenvalue identity, the 2-D
+Bernstein kernel against the 3-D one it replaced, the mode-anchored
 Bernstein sum against the Bernstein matrix, the triangle basis against the
 per-j recurrence it replaced, the memoized eigenvalue factors and Gauss
 rules against fresh computations, and norms of band-limited functions
@@ -18,9 +19,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from durrmeyer import NormContext, SpectralCoefficients, WeightConfig, k_exact_p2, lp_norm
+from durrmeyer import (NormContext, SpectralCoefficients, WeightConfig, cesaro_factors,
+                       cesaro_mean, k_exact_p2, lp_norm, partial_sum)
 from durrmeyer.operators import (_bernstein_matrix, _bernstein_sum, _g_n_factors,
-                                 _log_multinomial, _mu_factors, index_range)
+                                 _log_multinomial, _mu_factors, apply_P_spectral,
+                                 index_range)
 from durrmeyer.orthopoly import TriangleBasis, _jacobi_recurrence_terms, block_size
 from durrmeyer.quadrature import _gauss_jacobi_rule, gauss_jacobi_rule, simplex_rule_2d
 from durrmeyer.specfun import gamma_ratio_log
@@ -260,6 +263,68 @@ def test_arithmetic_matches_blockwise_reference(c, data):
     assert math.isclose(c.norm2(), want_norm, rel_tol=1e-14, abs_tol=0.0)
     with pytest.raises(ValueError):
         c.scaled(factors[:-1])
+
+
+@st.composite
+def lean_operands(draw):
+    """Random d = 1 or d = 2 coefficients at a random band, a second vector
+    of the same band, block factors, a scalar and a truncation degree."""
+    f = draw(coefficients())
+    size, nblocks = f.flat().size, f.max_degree + 1
+    other = draw(st.lists(st.floats(-5.0, 5.0), min_size=size, max_size=size))
+    factors = draw(st.lists(st.floats(-2.0, 2.0), min_size=nblocks, max_size=nblocks))
+    scalar = draw(st.floats(-3.0, 3.0))
+    n = draw(st.integers(0, f.max_degree))
+    return (f, SpectralCoefficients.from_flat(f.cfg, np.array(other)), np.array(factors),
+            scalar, n)
+
+
+@PROPERTY
+@given(lean_operands())
+def test_lean_arithmetic_equals_reference_construction_bitwise(operands):
+    f, g, factors, scalar, n = operands
+    cfg, L = f.cfg, f.max_degree
+    sizes = [block_size(cfg, ell) for ell in range(L + 1)]
+    ell = np.arange(L + 1, dtype=float)
+
+    def reference(block_factors):
+        return SpectralCoefficients(cfg, np.repeat(block_factors, sizes) * f.values)
+
+    cases = [
+        (f.scaled(factors), reference(factors)),
+        (f * scalar, reference(np.full(L + 1, scalar))),
+        (scalar * f, reference(np.full(L + 1, scalar))),
+        (-f, reference(np.full(L + 1, -1.0))),
+        (partial_sum(f, n), reference((ell <= n).astype(float))),
+        (cesaro_mean(f, n), reference(cesaro_factors(n, ell))),
+        (apply_P_spectral(cfg, f), reference(-ell * (ell + cfg.rho))),
+        (f + g, SpectralCoefficients(cfg, f.values + g.values)),
+        (f - g, SpectralCoefficients(cfg, f.values - g.values)),
+    ]
+    for got, want in cases:
+        assert got.cfg == cfg and got.max_degree == L
+        assert _same_bits(got.values, want.values)
+        assert np.array_equal(got.offsets, want.offsets)
+        for arr in (got.values, got.offsets, want.values, want.offsets):
+            assert not arr.flags.writeable
+        # a result owns its values; its offsets are the operand's shared ones
+        assert not np.shares_memory(got.values, f.values)
+        assert not np.shares_memory(got.values, g.values)
+        assert got.offsets is f.offsets
+
+    # the public constructor copies: writing the caller's array afterwards
+    # changes nothing, and the object's arrays cannot be written
+    source = np.array(f.values)
+    kept = SpectralCoefficients(cfg, source)
+    scaled = kept.scaled(factors)
+    source[:] = 7.0
+    factors[:] = 5.0
+    assert _same_bits(kept.values, f.values)
+    assert _same_bits(scaled.values, cases[0][0].values)
+    with pytest.raises(ValueError):
+        kept.values[0] = 1.0
+    with pytest.raises(ValueError):
+        kept.offsets[0] = 1
 
 
 # log-uniform over [1e-3, 1e7]
