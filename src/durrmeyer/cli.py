@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import time
 
@@ -120,16 +121,19 @@ def build_parser() -> argparse.ArgumentParser:
         prog="durrmeyer",
         description="Verification sweeps for the weighted Bernstein-Durrmeyer "
                     "operator family; writes one CSV or JSON report per run.")
+    # a value such as "-0.5,0.5" is no plain number, and argparse would read
+    # it as a flag: let anything that starts like a negative number be a value
+    ap._negative_number_matcher = re.compile(r"-\.?\d")
     ap.add_argument("--command", choices=COMMANDS, default=None,
                     help="which check battery to run")
     ap.add_argument("--config", default=None, metavar="FILE",
                     help="optional JSON file mirroring the flags; "
                          "explicit flags override it")
-    ap.add_argument("--alpha", default=None,
+    ap.add_argument("--alpha", dest="alphas", default=None,
                     help="comma list of weight exponents, one more entry than d "
                          "(default: all zeros)")
     ap.add_argument("--d", type=int, default=None, help="domain dimension, 1 or 2")
-    ap.add_argument("--p", default=None,
+    ap.add_argument("--p", dest="ps", default=None,
                     help="comma list of Lebesgue exponents; tokens 1, 2, inf, "
                          "or decimals")
     ap.add_argument("--n-start", type=int, default=None)
@@ -155,12 +159,9 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_CONFIG_KEYS = {"command", "alpha", "d", "p", "n_start", "n_stop", "n_step",
-                "dyadic", "suite", "seed", "out", "format", "tol_identity",
-                "tol_quadrature", "delta", "b"}
-
-
-def _load_config_file(path):
+def _load_config_file(path, keys):
+    """The file's settings by RunConfig field; keys maps each flag name, with
+    "_" for "-", to its field."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -171,64 +172,41 @@ def _load_config_file(path):
     out = {}
     for key, value in raw.items():
         norm = key.replace("-", "_")
-        if norm not in _CONFIG_KEYS:
+        if norm not in keys:
             raise ConfigError("unknown config key %r" % key)
-        out[norm] = value
+        out[keys[norm]] = value
     return out
 
 
+def _setting(name, value):
+    """A flag or config-file value as the type of its RunConfig field."""
+    if name == "alphas":
+        return _parse_float_list(value, "alpha")
+    if name == "ps":
+        tokens = value if isinstance(value, (list, tuple)) else str(value).split(",")
+        return tuple(_parse_p_token(str(tok)) for tok in tokens)
+    default = RunConfig.__dataclass_fields__[name].default
+    return type(default)(value) if isinstance(default, (int, float)) else value
+
+
 def parse_config(argv=None) -> RunConfig:
-    args = build_parser().parse_args(argv)
-    fileconf = _load_config_file(args.config) if args.config else {}
-
-    def pick(flag_value, file_key, default):
-        if flag_value is not None:
-            return flag_value, True
-        if file_key in fileconf:
-            return fileconf[file_key], True
-        return default, False
-
-    explicit = set()
-
-    def take(name, flag_value, file_key, default):
-        value, was_set = pick(flag_value, file_key, default)
-        if was_set:
-            explicit.add(name)
-        return value
-
-    command = take("command", args.command, "command", None)
-    if command is None:
+    """Each setting from its flag, else from the config file, else from
+    RunConfig's own default; `explicit` names the fields a flag or the file
+    set."""
+    parser = build_parser()
+    args = vars(parser.parse_args(argv))
+    path = args.pop("config")
+    keys = {a.option_strings[0][2:].replace("-", "_"): a.dest
+            for a in parser._actions if a.dest in args}
+    fileconf = _load_config_file(path, keys) if path else {}
+    settings = {}
+    for name, flag in args.items():
+        value = flag if flag is not None else fileconf.get(name)
+        if value is not None:
+            settings[name] = _setting(name, value)
+    if "command" not in settings:
         raise ConfigError("--command is required (one of %s)" % ", ".join(COMMANDS))
-    d = int(take("d", args.d, "d", 1))
-    alpha_raw = take("alphas", args.alpha, "alpha", None)
-    alphas = None if alpha_raw is None else _parse_float_list(alpha_raw, "alpha")
-    p_raw = take("ps", args.p, "p", None)
-    if p_raw is None:
-        ps = (2.0,)
-    elif isinstance(p_raw, (list, tuple)):
-        ps = tuple(_parse_p_token(str(tok)) for tok in p_raw)
-    else:
-        ps = tuple(_parse_p_token(tok) for tok in str(p_raw).split(","))
-    cfg = RunConfig(
-        command=command,
-        d=d,
-        alphas=alphas,
-        ps=ps,
-        n_start=int(take("n_start", args.n_start, "n_start", 4)),
-        n_stop=int(take("n_stop", args.n_stop, "n_stop", 64)),
-        n_step=int(take("n_step", args.n_step, "n_step", 1)),
-        dyadic=bool(take("dyadic", args.dyadic, "dyadic", True)),
-        suite=take("suite", args.suite, "suite", "full"),
-        seed=int(take("seed", args.seed, "seed", DEFAULT_SEED)),
-        out=take("out", args.out, "out", None),
-        fmt=take("fmt", args.fmt, "format", "csv"),
-        tol_identity=take("tol_identity", args.tol_identity, "tol_identity", None),
-        tol_quadrature=take("tol_quadrature", args.tol_quadrature,
-                            "tol_quadrature", None),
-        delta=float(take("delta", args.delta, "delta", 0.25)),
-        b=float(take("b", args.b, "b", 4.0)),
-        explicit=explicit,
-    )
+    cfg = RunConfig(explicit=set(settings), **settings)
     cfg.validate()
     return cfg
 

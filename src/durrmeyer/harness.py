@@ -13,6 +13,7 @@ it is tolerance minus the relative residual.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -24,7 +25,7 @@ from .operators import (apply_durrmeyer, apply_durrmeyer_spectral, apply_P_spect
                         apply_Q, build_g_n, make_plan)
 from .orthopoly import (SpectralCoefficients, block_size, cesaro_mean,
                         default_band, get_basis, partial_sum, project)
-from .quadrature import gauss_jacobi_rule, lp_norm
+from .quadrature import gauss_jacobi_rule
 from .specfun import log_gamma
 from .spectrum import (WeightConfig, _log_mu_rows, _log_nu_rows, _nu_rows, c_n,
                        c_n_prime, c_n_second, config_for_rho, eigenvalue_mu,
@@ -353,8 +354,7 @@ def _check_l5(rhos, t0):
                 i = int(np.argmin(margins))
                 rows.append(CheckRow(cid, d=1, alphas=cfg.alphas, rho=rho, n=n,
                                      ell_or_tau=float(taus[i]),
-                                     lhs=float(np.asarray(lhs)[i]) if np.ndim(lhs) else float(lhs),
-                                     rhs=float(np.asarray(rhs)[i]) if np.ndim(rhs) else float(rhs),
+                                     lhs=float(lhs[i]), rhs=float(rhs[i]),
                                      margin=float(margins[i]),
                                      passed=bool(margins[i] > 0.0)))
             lo = np.log1p((2.0 * tau_full + rho) / (n - tau_full + 1.0))
@@ -556,17 +556,16 @@ def _check_mult_id(rhos, k_max, t0, tol=TOL_IDENTITY):
 
 class FunctionContext:
     """Projection plus cached norm machinery for one test function; operator
-    errors and K values are computed once per (n, p)."""
+    errors and K values are computed once per (n, p).  A function of known
+    degree is projected at that degree and is its own band synthesis; any
+    other is projected at the band and measured on f itself, which carries
+    its energy above the band as the tail norm."""
 
     def __init__(self, cfg, f, band=64):
-        if f.kinks:
-            L = band
-            coeffs = project(f, cfg, L)
-            self.ctx = kfunc.NormContext(cfg, coeffs, f_fn=f, kinks=f.kinks)
-        else:
-            L = f.degree if f.degree is not None else band
-            coeffs = project(f, cfg, L)
-            self.ctx = kfunc.NormContext(cfg, coeffs)
+        exact = f.degree is not None
+        coeffs = project(f, cfg, f.degree if exact else band)
+        self.ctx = kfunc.NormContext(cfg, coeffs, f_fn=None if exact else f,
+                                     kinks=f.kinks)
         self.cfg = cfg
         self.f = f
         self.coeffs = coeffs
@@ -597,6 +596,16 @@ class FunctionContext:
         return [self._kvals[(n, p)] for n in ns]
 
 
+def _by_n(row):
+    """Builder of one function's rows row(fc, p, n, K(f, 1/n)_p, *extra),
+    for each n and then each p."""
+    def build(fc, ps, ns, *extra):
+        kvals = {p: fc.kvalues(ns, p) for p in ps}
+        return [r for i, n in enumerate(ns) for p in ps
+                for r in row(fc, p, n, kvals[p][i], *extra)]
+    return build
+
+
 def _direct_rows(fc: FunctionContext, p, n, kval):
     lhs = fc.op_error(n, p)
     rhs = 2.0 * kval
@@ -609,9 +618,9 @@ def _direct_rows(fc: FunctionContext, p, n, kval):
                      empirical_constant=ratio, passed=margin >= INEQ_FLOOR)]
 
 
-def verify_direct(cfg, f, p, n, fc=None) -> CheckReport:
+def verify_direct(cfg, f, p, n) -> CheckReport:
     t0 = time.perf_counter()
-    fc = fc or FunctionContext(cfg, f)
+    fc = FunctionContext(cfg, f)
     rows = _direct_rows(fc, p, n, fc.kvalues([n], p)[0])
     return _finish("DIRECT", "single function %s, p=%s, n=%d" % (f.f_id, p, n),
                    rows, t0)
@@ -631,28 +640,26 @@ def run_direct(cfg=None, ps=_SUITE_PS, ns=_DIRECT_NS, suite_name="full",
 
 
 def _theorem1_rows(fc: FunctionContext, p, n, lhs):
-    """Rows for K(f, 1/n)_p = lhs against the converse-estimate bounds."""
+    """Rows for K(f, 1/n)_p = lhs against the converse-estimate bound, with
+    the leading constant 4 + 2 rho / n (THM1) and, for n >= |rho|, 6
+    (THM1-R6)."""
     cfg = fc.cfg
     rho = cfg.rho
     errs = {k: fc.op_error(k, p) for k in range(n, 2 * n + 1)}
     tail = (4.0 / n) * sum(errs[k] for k in range(n + 1, 2 * n + 1))
-    out = []
-    rhs = (4.0 + 2.0 * rho / n) * (errs[n] + errs[2 * n]) + tail
-    margin = _rel_margin(lhs, rhs)
-    asserted = p == 2
-    out.append(CheckRow("THM1", d=cfg.d, alphas=cfg.alphas, rho=rho, p=p, n=n,
-                        f_id=fc.f.f_id, lhs=lhs, rhs=rhs,
-                        margin=margin if asserted else None,
-                        empirical_constant=margin,
-                        passed=margin >= INEQ_FLOOR if asserted else True))
+    bounds = [("THM1", 4.0 + 2.0 * rho / n)]
     if n >= abs(rho):
-        rhs6 = 6.0 * (errs[n] + errs[2 * n]) + tail
-        margin6 = _rel_margin(lhs, rhs6)
-        out.append(CheckRow("THM1-R6", d=cfg.d, alphas=cfg.alphas, rho=rho, p=p,
-                            n=n, f_id=fc.f.f_id, lhs=lhs, rhs=rhs6,
-                            margin=margin6 if asserted else None,
-                            empirical_constant=margin6,
-                            passed=margin6 >= INEQ_FLOOR if asserted else True))
+        bounds.append(("THM1-R6", 6.0))
+    asserted = p == 2
+    out = []
+    for check_id, lead in bounds:
+        rhs = lead * (errs[n] + errs[2 * n]) + tail
+        margin = _rel_margin(lhs, rhs)
+        out.append(CheckRow(check_id, d=cfg.d, alphas=cfg.alphas, rho=rho, p=p,
+                            n=n, f_id=fc.f.f_id, lhs=lhs, rhs=rhs,
+                            margin=margin if asserted else None,
+                            empirical_constant=margin,
+                            passed=not asserted or margin >= INEQ_FLOOR))
     return out
 
 
@@ -666,18 +673,99 @@ def run_theorem1(cfg=None, ps=_SUITE_PS, ns=_THEOREM1_NS, suite_name="full",
     return _suite_checks(cfg, suite_name, seed, band, {"THM1": (ps, ns)})[0]
 
 
-# grid description and row builder (fc, p, n, K value) -> rows of each
-# suite check
+def _proposition_rows(fc: FunctionContext, p, n, kval, sigma):
+    """The row for K(f, 1/n)_p = kval against the operator error: asserted
+    against 3 err at p = 2, reported against (1 + 2 sigma[p]) err at other
+    p, sigma[p] being the empirical partial-sum norm bound."""
+    err = fc.op_error(n, p)
+    row = CheckRow("PROP", d=1, alphas=fc.cfg.alphas, rho=fc.cfg.rho, p=p, n=n,
+                   f_id=fc.f.f_id, lhs=kval, rhs=err)
+    if err < 1e-14 and kval < 1e-14:
+        return [row]
+    row.rhs = (3.0 if p == 2 else 1.0 + 2.0 * sigma[p]) * err
+    row.empirical_constant = kval / max(err, 1e-300)
+    if p == 2:
+        row.margin = _rel_margin(kval, row.rhs)
+        row.passed = row.margin >= INEQ_FLOOR
+    return [row]
+
+
+def run_proposition(ps=(2,), ns=(8, 16, 32, 64, 128), suite_name="full",
+                    seed=DEFAULT_SEED) -> CheckReport:
+    """Unweighted interval case: ratio of K to the operator error.  At p = 2
+    the partial-sum projections are contractions, so the ratio is asserted
+    against 3; at other p in (4/3, 4) the ratio is reported against an
+    empirical partial-sum norm bound.  The band is max(144, max ns + 16)."""
+    cfg = WeightConfig(1, (0.0, 0.0))
+    for p in ps:
+        if not (p == 2 or 4.0 / 3.0 < p < 4.0):
+            raise ValueError("proposition requires 4/3 < p < 4, got %s" % (p,))
+    sigma = {p: max(estimate_operator_norm("partial_sum", p, n, cfg=cfg)
+                    for n in (8, 16, 32)) for p in ps if p != 2}
+    return _suite_checks(cfg, suite_name, seed, max(144, max(ns) + 16),
+                         {"PROP": (ps, ns, sigma)})[0]
+
+
+def _bracket_rows(check_id, fc: FunctionContext, ps, ns):
+    """Rows checking k_lower <= K <= k_upper at t = 1/n for each p and then
+    each n.  At p = 2 the exact banded K sits between the two
+    (empirical_constant); elsewhere the row checks lower <= upper."""
+    slack = 1e-9
+    cfg = fc.cfg
+    rows = []
+    for p in ps:
+        exacts = fc.kvalues(ns, p) if p == 2 else [None] * len(ns)
+        for n, exact in zip(ns, exacts):
+            lower = kfunc.k_lower(cfg, fc.coeffs, n, p, ctx=fc.ctx)
+            upper, _ = kfunc.k_upper_detail(cfg, fc.coeffs, 1.0 / n, p,
+                                            ctx=fc.ctx, exact=exact)
+            scale = max(upper, exact or 0.0, 1e-300)
+            if exact is None:
+                margin = (upper - lower) / scale + slack
+            else:
+                margin = min((exact - lower) / scale,
+                             (upper - exact) / scale) + slack
+            rows.append(CheckRow(check_id, d=cfg.d, alphas=cfg.alphas,
+                                 rho=cfg.rho, p=p, n=n, f_id=fc.f.f_id,
+                                 lhs=lower, rhs=upper, margin=margin,
+                                 empirical_constant=exact,
+                                 passed=margin >= 0.0))
+    return rows
+
+
+def verify_bracket(ns=(4, 16, 64), seed=DEFAULT_SEED) -> CheckReport:
+    """Ordering of the three K estimates at p = 2 over the full suite."""
+    # k_lower applies every degree n exactly
+    return _suite_checks(WeightConfig(1, (0.0, 0.0)), "full", seed,
+                         max(64, max(ns)), {"KBRACKET": ((2,), ns)})[0]
+
+
+def run_kfunc(cfg, ps, ns, suite_name="full", seed=DEFAULT_SEED) -> CheckReport:
+    """K-functional brackets over a suite: lhs = lower bound, rhs = upper
+    bound, empirical_constant = exact value at p = 2."""
+    return _suite_checks(cfg, suite_name, seed, max(64, max(ns)),
+                         {"KFUNC": (ps, ns)})[0]
+
+
+# grid text, filled from suite, ps (as strings), p_values, ns and seed, and
+# the builder (fc, ps, ns, *extra) -> rows of one function, of each suite check
 _SUITE_CHECKS = {
-    "DIRECT": ("suite=%s, p in %s, n in %s, seed=%d", _direct_rows),
-    "THM1": ("suite=%s, p in %s (asserted at p=2 only), n in %s, seed=%d",
-             _theorem1_rows),
+    "DIRECT": ("suite=%(suite)s, p in %(ps)s, n in %(ns)s, seed=%(seed)d",
+               _by_n(_direct_rows)),
+    "THM1": ("suite=%(suite)s, p in %(ps)s (asserted at p=2 only), n in %(ns)s, "
+             "seed=%(seed)d", _by_n(_theorem1_rows)),
+    "PROP": ("d=1 unweighted, suite=%(suite)s, p in %(ps)s (asserted at p=2 with "
+             "bound 3), n in %(ns)s, seed=%(seed)d", _by_n(_proposition_rows)),
+    "KBRACKET": ("full suite, p=2, n in %(ns)s, seed=%(seed)d",
+                 functools.partial(_bracket_rows, "KBRACKET")),
+    "KFUNC": ("suite=%(suite)s, p in %(p_values)s, n in %(ns)s, seed=%(seed)d",
+              functools.partial(_bracket_rows, "KFUNC")),
 }
 
 
 def _suite_checks(cfg, suite_name, seed, band, specs):
-    """One report per entry of specs, {check_id: (ps, ns)}, from one pass
-    over the suite: each function's context is built once, serves every
+    """One report per entry of specs, {check_id: (ps, ns, *extra)}, from one
+    pass over the suite: each function's context is built once, serves every
     check, and is freed before the next one is built.  A report's runtime
     is the time spent on its own rows; context builds count to the first."""
     if "THM1" in specs and band < 2 * max(specs["THM1"][1]):
@@ -687,94 +775,37 @@ def _suite_checks(cfg, suite_name, seed, band, specs):
     for f in get_suite(suite_name, cfg, seed):
         t0 = time.perf_counter()
         fc = FunctionContext(cfg, f, band=band)
-        for cid, (ps, ns) in specs.items():
-            make = _SUITE_CHECKS[cid][1]
-            kvals = {p: fc.kvalues(ns, p) for p in ps}
-            for i, n in enumerate(ns):
-                for p in ps:
-                    rows[cid].extend(make(fc, p, n, kvals[p][i]))
+        for cid, args in specs.items():
+            rows[cid].extend(_SUITE_CHECKS[cid][1](fc, *args))
             t1 = time.perf_counter()
             spent[cid] += t1 - t0
             t0 = t1
         del fc  # one context alive at a time
-    return [_finish(cid, _SUITE_CHECKS[cid][0] % (
-                suite_name, [str(p) for p in ps], list(ns), seed),
+    return [_finish(cid, _SUITE_CHECKS[cid][0] % {
+                "suite": suite_name, "ps": [str(p) for p in args[0]],
+                "p_values": list(args[0]), "ns": list(args[1]), "seed": seed},
                 rows[cid], time.perf_counter() - spent[cid])
-            for cid, (ps, ns) in specs.items()]
-
-
-def run_proposition(ps=(2,), ns=(8, 16, 32, 64, 128), suite_name="full",
-                    seed=DEFAULT_SEED, band=None) -> CheckReport:
-    """Unweighted interval case: ratio of K to the operator error.  At p = 2
-    the partial-sum projections are contractions, so the ratio is asserted
-    against 3; at other p in (4/3, 4) the ratio is reported against an
-    empirical partial-sum norm bound.  The band defaults to
-    max(144, max ns + 16)."""
-    t0 = time.perf_counter()
-    band = band if band is not None else max(144, max(ns) + 16)
-    cfg = WeightConfig(1, (0.0, 0.0))
-    for p in ps:
-        if not (p == 2 or 4.0 / 3.0 < p < 4.0):
-            raise ValueError("proposition requires 4/3 < p < 4, got %s" % (p,))
-    sigma_emp = {}
-    for p in ps:
-        if p != 2:
-            sigma_emp[p] = max(estimate_operator_norm("partial_sum", p, n, cfg=cfg)
-                               for n in (8, 16, 32))
-    rows = []
-    for f in get_suite(suite_name, cfg, seed):
-        fc = FunctionContext(cfg, f, band=band)
-        kvals = {p: fc.kvalues(ns, p) for p in ps}
-        for i, n in enumerate(ns):
-            for p in ps:
-                err = fc.op_error(n, p)
-                kval = kvals[p][i]
-                if err < 1e-14 and kval < 1e-14:
-                    rows.append(CheckRow("PROP", d=1, alphas=cfg.alphas, rho=cfg.rho,
-                                         p=p, n=n, f_id=fc.f.f_id, lhs=kval,
-                                         rhs=err, passed=True))
-                    continue
-                ratio = kval / max(err, 1e-300)
-                if p == 2:
-                    margin = _rel_margin(kval, 3.0 * err)
-                    rows.append(CheckRow("PROP", d=1, alphas=cfg.alphas,
-                                         rho=cfg.rho, p=p, n=n, f_id=fc.f.f_id,
-                                         lhs=kval, rhs=3.0 * err, margin=margin,
-                                         empirical_constant=ratio,
-                                         passed=margin >= INEQ_FLOOR))
-                else:
-                    bound = 1.0 + 2.0 * sigma_emp[p]
-                    rows.append(CheckRow("PROP", d=1, alphas=cfg.alphas,
-                                         rho=cfg.rho, p=p, n=n, f_id=fc.f.f_id,
-                                         lhs=kval, rhs=bound * err,
-                                         empirical_constant=ratio, passed=True))
-        del fc  # one context alive at a time
-    grid = ("d=1 unweighted, suite=%s, p in %s (asserted at p=2 with bound 3), "
-            "n in %s, seed=%d") % (suite_name, [str(p) for p in ps], list(ns), seed)
-    return _finish("PROP", grid, rows, t0)
+            for cid, args in specs.items()]
 
 
 # ---------------------------------------------------------------------------
 # empirical operator norms
 
 
-def estimate_operator_norm(kind, p, n, cfg=None, seed=DEFAULT_SEED,
-                           band=None) -> float:
+def estimate_operator_norm(kind, p, n, cfg=None, seed=DEFAULT_SEED) -> float:
     """Empirical lower bound for the L_p operator norm of the degree-n
     partial sum or Cesaro mean, over an adversary family of coefficient
     vectors: alternating signs, flat spectrum, endpoint-concentrated
-    reproducing kernels, and seeded random draws."""
+    reproducing kernels, and seeded random draws.  Every norm is a
+    band-2n norm of a kfunc.NormContext."""
     if kind not in ("partial_sum", "cesaro"):
         raise ValueError("kind must be partial_sum or cesaro")
     cfg = cfg if cfg is not None else WeightConfig(1, (0.0, 0.0))
     if kind == "partial_sum" and cfg.d != 1:
         raise ValueError("partial-sum norms are computed on the interval only")
-    L = band if band is not None else 2 * n
-    basis = get_basis(cfg, L)
-    rule = kfunc.norm_rule(cfg, L)
-    mat_rule = basis.eval_all(rule.nodes)
-    # only the max norm reads the sup grid
-    mat_grid = kfunc.sup_matrix(cfg, L) if p == math.inf else None
+    L = 2 * n
+    ctx = kfunc.NormContext(cfg, SpectralCoefficients.zeros(cfg, L))
+    basis, rule, mat_rule = get_basis(cfg, L), ctx.rule, ctx.mat_rule
     size = mat_rule.shape[1]
 
     adversaries = [np.ones(size), (-1.0) ** np.arange(size)]
@@ -797,15 +828,6 @@ def estimate_operator_norm(kind, p, n, cfg=None, seed=DEFAULT_SEED,
         [partial_sum(SpectralCoefficients.from_flat(cfg, a), n).flat()
          for a in list(adversaries)])
 
-    def norm_p(flat):
-        if p == 2:
-            # Parseval: the rule integrates degree 2L exactly, so synthesis
-            # on it would give this norm up to rounding
-            return float(np.sqrt(np.dot(flat, flat)))
-        if p == math.inf:
-            return float(np.max(np.abs(kfunc.leading_product(mat_grid, flat))))
-        return lp_norm(kfunc.leading_product(mat_rule, flat), rule, p)
-
     worst = 0.0
     for flat in adversaries:
         coeffs = SpectralCoefficients.from_flat(cfg, flat)
@@ -813,10 +835,10 @@ def estimate_operator_norm(kind, p, n, cfg=None, seed=DEFAULT_SEED,
             out = partial_sum(coeffs, n)
         else:
             out = cesaro_mean(coeffs, n)
-        denom = norm_p(flat)
+        denom = ctx.norm_band(coeffs, p)
         if denom <= 1e-300:
             continue
-        worst = max(worst, norm_p(out.flat()) / denom)
+        worst = max(worst, ctx.norm_band(out, p) / denom)
     return worst
 
 
@@ -888,57 +910,49 @@ def _random_coeffs(cfg, L, rng):
     return SpectralCoefficients.from_flat(cfg, rng.uniform(-1.0, 1.0, size))
 
 
-def verify_telescoping(n_max=16, tol=1e-10, seed=DEFAULT_SEED) -> CheckReport:
-    """The averaged smoother satisfies P g_n = (M_n f - M_{2n} f) / t_n,
-    coefficientwise."""
+def _identity_scan(check_id, n_lo, n_max, tol, seed, sides):
+    """Worst relative residual of an identity lhs = rhs between coefficient
+    vectors, over n_lo <= n <= n_max on each of the three weights, where
+    sides(cfg, n, rng) gives the two sides for a random f."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     rows = []
     for cfg in _STRUCT_CFGS:
         worst = (-math.inf, None)
-        for n in range(1, n_max + 1):
-            f = _random_coeffs(cfg, 2 * n + 3, rng)
-            g, t_n = build_g_n(cfg, n, f)
-            lhs = apply_P_spectral(cfg, g)
-            diff = (apply_durrmeyer_spectral(cfg, n, f)
-                    - apply_durrmeyer_spectral(cfg, 2 * n, f))
-            rhs = diff * (1.0 / t_n)
+        for n in range(n_lo, n_max + 1):
+            lhs, rhs = sides(cfg, n, rng)
             denom = max(np.max(np.abs(lhs.flat())), np.max(np.abs(rhs.flat())), 1e-300)
             resid = float(np.max(np.abs((lhs - rhs).flat()))) / denom
             if resid > worst[0]:
                 worst = (resid, n)
         resid, n = worst
-        rows.append(CheckRow("TELESCOPE", d=cfg.d, alphas=cfg.alphas, rho=cfg.rho,
+        rows.append(CheckRow(check_id, d=cfg.d, alphas=cfg.alphas, rho=cfg.rho,
                              n=n, margin=tol - resid, empirical_constant=resid,
                              passed=resid <= tol))
-    grid = "three weights, 1 <= n <= %d, random band-limited f, tol %g" % (
-        n_max, tol)
-    return _finish("TELESCOPE", grid, rows, t0)
+    grid = "three weights, %d <= n <= %d, random band-limited f, tol %g" % (
+        n_lo, n_max, tol)
+    return _finish(check_id, grid, rows, t0)
+
+
+def verify_telescoping(n_max=16, tol=1e-10, seed=DEFAULT_SEED) -> CheckReport:
+    """The averaged smoother satisfies P g_n = (M_n f - M_{2n} f) / t_n,
+    coefficientwise."""
+    def sides(cfg, n, rng):
+        f = _random_coeffs(cfg, 2 * n + 3, rng)
+        g, t_n = build_g_n(cfg, n, f)
+        diff = (apply_durrmeyer_spectral(cfg, n, f)
+                - apply_durrmeyer_spectral(cfg, 2 * n, f))
+        return apply_P_spectral(cfg, g), diff * (1.0 / t_n)
+    return _identity_scan("TELESCOPE", 1, n_max, tol, seed, sides)
 
 
 def verify_q_identity(n_max=24, tol=1e-11, seed=DEFAULT_SEED) -> CheckReport:
     """(1/n) P M_n f equals the multiplier operator applied to M_n f - f."""
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
-    rows = []
-    for cfg in _STRUCT_CFGS:
-        worst = (-math.inf, None)
-        for n in range(2, n_max + 1):
-            f = _random_coeffs(cfg, n, rng)
-            mf = apply_durrmeyer_spectral(cfg, n, f)
-            lhs = apply_P_spectral(cfg, mf) * (1.0 / n)
-            rhs = apply_Q(cfg, n, mf - f)
-            denom = max(np.max(np.abs(lhs.flat())), np.max(np.abs(rhs.flat())), 1e-300)
-            resid = float(np.max(np.abs((lhs - rhs).flat()))) / denom
-            if resid > worst[0]:
-                worst = (resid, n)
-        resid, n = worst
-        rows.append(CheckRow("QIDENT", d=cfg.d, alphas=cfg.alphas, rho=cfg.rho,
-                             n=n, margin=tol - resid, empirical_constant=resid,
-                             passed=resid <= tol))
-    grid = "three weights, 2 <= n <= %d, random band-limited f, tol %g" % (
-        n_max, tol)
-    return _finish("QIDENT", grid, rows, t0)
+    def sides(cfg, n, rng):
+        f = _random_coeffs(cfg, n, rng)
+        mf = apply_durrmeyer_spectral(cfg, n, f)
+        return apply_P_spectral(cfg, mf) * (1.0 / n), apply_Q(cfg, n, mf - f)
+    return _identity_scan("QIDENT", 2, n_max, tol, seed, sides)
 
 
 def verify_kfunc_closed_form(tol=1e-8) -> CheckReport:
@@ -993,55 +1007,6 @@ def verify_cesaro_contraction(n_max=32, tol=1e-12, seed=DEFAULT_SEED) -> CheckRe
                              passed=worst_margin >= -tol and worst_equiv <= tol))
     grid = "two weights, 0 <= n <= %d, random band-32 f, tol %g" % (n_max, tol)
     return _finish("CESARO", grid, rows, t0)
-
-
-def _bracket_rows(check_id, cfg, suite_name, seed, ps, ns):
-    """Rows checking k_lower <= K <= k_upper at t = 1/n for each suite
-    function, p and n.  At p = 2 the exact banded K sits between the two
-    (empirical_constant); elsewhere the row checks lower <= upper."""
-    band = max(64, max(ns))  # k_lower applies every degree n exactly
-    slack = 1e-9
-    rows = []
-    for f in get_suite(suite_name, cfg, seed):
-        fc = FunctionContext(cfg, f, band=band)
-        for p in ps:
-            exacts = fc.kvalues(ns, p) if p == 2 else [None] * len(ns)
-            for n, exact in zip(ns, exacts):
-                lower = kfunc.k_lower(cfg, fc.coeffs, n, p, ctx=fc.ctx)
-                upper, _ = kfunc.k_upper_detail(cfg, fc.coeffs, 1.0 / n, p,
-                                                ctx=fc.ctx, exact=exact)
-                scale = max(upper, exact or 0.0, 1e-300)
-                if exact is None:
-                    margin = (upper - lower) / scale + slack
-                else:
-                    margin = min((exact - lower) / scale,
-                                 (upper - exact) / scale) + slack
-                rows.append(CheckRow(check_id, d=cfg.d, alphas=cfg.alphas,
-                                     rho=cfg.rho, p=p, n=n, f_id=f.f_id,
-                                     lhs=lower, rhs=upper, margin=margin,
-                                     empirical_constant=exact,
-                                     passed=margin >= 0.0))
-        del fc  # one context alive at a time
-    return rows
-
-
-def verify_bracket(ns=(4, 16, 64), seed=DEFAULT_SEED) -> CheckReport:
-    """Ordering of the three K estimates at p = 2 over the full suite."""
-    t0 = time.perf_counter()
-    rows = _bracket_rows("KBRACKET", WeightConfig(1, (0.0, 0.0)), "full", seed,
-                         (2,), ns)
-    grid = "full suite, p=2, n in %s, seed=%d" % (list(ns), seed)
-    return _finish("KBRACKET", grid, rows, t0)
-
-
-def run_kfunc(cfg, ps, ns, suite_name="full", seed=DEFAULT_SEED) -> CheckReport:
-    """K-functional brackets over a suite: lhs = lower bound, rhs = upper
-    bound, empirical_constant = exact value at p = 2."""
-    t0 = time.perf_counter()
-    rows = _bracket_rows("KFUNC", cfg, suite_name, seed, ps, ns)
-    grid = "suite=%s, p in %s, n in %s, seed=%d" % (
-        suite_name, list(ps), list(ns), seed)
-    return _finish("KFUNC", grid, rows, t0)
 
 
 # ---------------------------------------------------------------------------

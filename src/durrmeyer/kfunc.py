@@ -211,16 +211,14 @@ class NormContext:
     f-values on the grid are built on first use at another p; only f on
     the rule nodes is needed up front, for the tail norm.  A band-limited g
     is synthesized from its leading nonzero blocks only.  The sup-grid
-    matrix is the one `sup_matrix` shares, unless an explicit grid is
-    given."""
+    matrix is the one `sup_matrix` shares."""
 
-    def __init__(self, cfg, f_coeffs, f_fn=None, kinks=(), rule=None, grid=None):
+    def __init__(self, cfg, f_coeffs, f_fn=None, kinks=()):
         self.cfg = cfg
         self.coeffs = f_coeffs
         self.kinks = tuple(kinks)
-        self.rule = rule if rule is not None else norm_rule(cfg, f_coeffs.max_degree, self.kinks)
-        self._own_grid = grid is not None
-        self.grid = grid if grid is not None else sup_points(cfg, self.kinks)
+        self.rule = norm_rule(cfg, f_coeffs.max_degree, self.kinks)
+        self.grid = sup_points(cfg, self.kinks)
         self._basis = get_basis(cfg, f_coeffs.max_degree)
         self._f_fn = f_fn
         if f_fn is not None:
@@ -239,8 +237,6 @@ class NormContext:
 
     @functools.cached_property
     def mat_grid(self):
-        if self._own_grid:
-            return self._basis.eval_all(self.grid)
         return sup_matrix(self.cfg, self.coeffs.max_degree, self.kinks)
 
     @functools.cached_property

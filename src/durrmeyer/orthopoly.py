@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -383,25 +382,30 @@ class TriangleBasis:
         return out
 
 
-_BASIS_CACHE_SIZE = 64
-_BASIS_CACHE: OrderedDict = OrderedDict()
-
-
 def get_basis(cfg: WeightConfig, L):
     """Basis table for (cfg, L), built once and shared; the 64 most recently
     used tables stay cached."""
     if int(L) < 0:
         raise ValueError("band L = %d is negative; it must be >= 0" % int(L))
-    key = (cfg, int(L))
-    basis = _BASIS_CACHE.get(key)
-    if basis is None:
-        basis = IntervalBasis(cfg, L) if cfg.d == 1 else TriangleBasis(cfg, L)
-        _BASIS_CACHE[key] = basis
-        if len(_BASIS_CACHE) > _BASIS_CACHE_SIZE:
-            _BASIS_CACHE.popitem(last=False)
+    return _basis_table(cfg, int(L))
+
+
+@functools.lru_cache(maxsize=64)
+def _basis_table(cfg, L):
+    return IntervalBasis(cfg, L) if cfg.d == 1 else TriangleBasis(cfg, L)
+
+
+def _at_points(cfg: WeightConfig, x, values):
+    """values(points) at x: on the interval a scalar or a vector of points,
+    on the triangle one (x1, x2) pair or an array of pairs.  A single point
+    gives a float, an array of points an array."""
+    pts = np.asarray(x, dtype=float)
+    if cfg.d == 1:
+        single, pts = pts.ndim == 0, np.atleast_1d(pts)
     else:
-        _BASIS_CACHE.move_to_end(key)
-    return basis
+        single, pts = pts.ndim == 1, pts.reshape(-1, 2)
+    vals = values(pts)
+    return float(vals[0]) if single else vals
 
 
 def basis_eval(cfg: WeightConfig, ell, j, x):
@@ -411,14 +415,7 @@ def basis_eval(cfg: WeightConfig, ell, j, x):
         raise ValueError("degree index must be >= 0")
     basis = get_basis(cfg, max(ell, default_band(cfg)))
     col = basis.flat_index(ell, j)
-    if cfg.d == 1:
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        vals = basis.eval_all(x_arr)[:, col]
-        return float(vals[0]) if np.ndim(x) == 0 else vals
-    pts = np.asarray(x, dtype=float)
-    single = pts.ndim == 1
-    vals = basis.eval_all(pts.reshape(-1, 2))[:, col]
-    return float(vals[0]) if single else vals
+    return _at_points(cfg, x, lambda pts: basis.eval_all(pts)[:, col])
 
 
 def projection_rule(cfg: WeightConfig, L, f_degree=None, splits=()):
@@ -454,14 +451,7 @@ def project(f, cfg: WeightConfig, L, rule=None) -> SpectralCoefficients:
 def synthesize(coeffs: SpectralCoefficients, x):
     """Point values of the function with the given coefficients."""
     basis = get_basis(coeffs.cfg, coeffs.max_degree)
-    if coeffs.cfg.d == 1:
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        vals = basis.eval_all(x_arr) @ coeffs.flat()
-        return float(vals[0]) if np.ndim(x) == 0 else vals
-    pts = np.asarray(x, dtype=float)
-    single = pts.ndim == 1
-    vals = basis.eval_all(pts.reshape(-1, 2)) @ coeffs.flat()
-    return float(vals[0]) if single else vals
+    return _at_points(coeffs.cfg, x, lambda pts: basis.eval_all(pts) @ coeffs.flat())
 
 
 def _check_truncation(coeffs, n):

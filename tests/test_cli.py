@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from durrmeyer import cli
+from durrmeyer import cli, harness
 from durrmeyer.cli import (
     COMMANDS,
     CSV_COLUMNS,
@@ -244,3 +244,36 @@ def test_verify_direct_at_band_512(tmp_path):
                    "--n-start", "512", "--n-stop", "512",
                    "--out", str(tmp_path / "direct.csv")])
     assert rc == 0
+
+
+def test_verify_proposition_command_writes_the_harness_rows(tmp_path):
+    out = tmp_path / "prop.csv"
+    rc = run_main(["--command", "verify-proposition", "--suite", "smoke",
+                   "--p", "1.5,2", "--n-start", "8", "--n-stop", "16",
+                   "--seed", "7", "--out", str(out)])
+    assert rc == 0
+    rep = harness.run_proposition((1.5, 2.0), (8, 16), "smoke", seed=7)
+    assert out.read_text() == cli.rows_to_csv(rep.rows)
+    assert {row.p for row in rep.rows} == {1.5, 2.0}
+
+
+@pytest.mark.parametrize("argv, alphas", [
+    (["--command", "verify-converse", "--alpha", "-0.5,0.5"], (-0.5, 0.5)),
+    (["--command", "norms", "--d", "2", "--alpha", "-0.5,0,0"], (-0.5, 0.0, 0.0)),
+    (["--command", "verify-converse", "--alpha", "-.5,-0.5"], (-0.5, -0.5))])
+def test_negative_first_exponent_in_the_space_form(argv, alphas):
+    cfg = parse_config(argv)
+    assert cfg.alphas == alphas
+    joined = argv[:-2] + ["--alpha=" + argv[-1]]
+    assert parse_config(joined) == cfg
+
+
+def test_negative_first_exponent_runs_and_bad_ones_exit_two(tmp_path, capsys):
+    tail = ["--command", "verify-converse", "--suite", "smoke", "--p", "1,2",
+            "--n-start", "4", "--n-stop", "8"]
+    spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+    assert run_main(tail + ["--alpha", "-0.5,0.5", "--out", str(spaced)]) == 0
+    assert run_main(tail + ["--alpha=-0.5,0.5", "--out", str(joined)]) == 0
+    assert spaced.read_bytes() == joined.read_bytes()
+    assert run_main(["--command", "verify-direct", "--alpha", "-1,0"]) == 2
+    assert "> -1" in capsys.readouterr().err

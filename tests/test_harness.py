@@ -20,9 +20,12 @@ from durrmeyer import (
     eigenvalue_mu,
     estimate_operator_norm,
     k_exact_p2,
+    k_lower,
     k_upper,
+    k_upper_detail,
     run_direct,
     run_kfunc,
+    run_proposition,
     run_theorem1,
     verify_bracket,
     verify_cesaro_contraction,
@@ -30,7 +33,7 @@ from durrmeyer import (
     verify_q_identity,
     verify_telescoping,
 )
-from durrmeyer import harness, kfunc, operators, orthopoly, quadrature
+from durrmeyer import harness, kfunc, operators, orthopoly, quadrature, suite
 from durrmeyer.harness import (
     LEMMA_IDS,
     RHO_GRID_NONNEG,
@@ -136,7 +139,7 @@ def test_operator_norm_at_p2_synthesizes_nothing(monkeypatch):
         raise AssertionError("synthesized a norm at p = 2")
 
     monkeypatch.setattr(kfunc, "leading_product", no_synthesis)
-    monkeypatch.setattr(harness, "lp_norm", no_synthesis)
+    monkeypatch.setattr(kfunc, "lp_norm", no_synthesis)
     assert abs(estimate_operator_norm("partial_sum", 2, 8) - 1.0) <= 1e-9
     tri = WeightConfig(2, (0.5, -0.5, 1.0))
     assert 0.5 <= estimate_operator_norm("cesaro", 2, 6, cfg=tri) <= 1.0 + 1e-9
@@ -176,6 +179,24 @@ def test_function_context_band_control():
     assert fc.coeffs.max_degree == 2
     assert fc.ctx.tail_norm == 0.0
     assert abs(fc.op_error(8, 2) - (1.0 - eigenvalue_mu(cfg, 8, 2))) <= 1e-10
+
+
+def test_function_context_measures_a_function_of_unknown_degree_on_itself():
+    # sqrt has no degree and no kinks: it is projected at the band, and its
+    # energy above the band and its norms at p != 2 come from f itself
+    cfg = WeightConfig(1, (0.0, 0.0))
+    f = suite.TestFunction("sqrt", np.sqrt)
+    fc = FunctionContext(cfg, f, band=64)
+    assert fc.coeffs.max_degree == 64
+    on_f = kfunc.NormContext(cfg, fc.coeffs, f_fn=f)
+    assert fc.ctx.tail_norm == on_f.tail_norm
+    assert 1e-5 < fc.ctx.tail_norm < 1e-4
+    g = apply_durrmeyer_spectral(cfg, 8, fc.coeffs)
+    for p in (1, 2, math.inf):
+        assert fc.op_error(8, p) == on_f.norm_diff(g, p)
+    # the band projection's own sup error is smaller than f's
+    own = kfunc.NormContext(cfg, fc.coeffs).norm_diff(g, math.inf)
+    assert fc.op_error(8, math.inf) - own > 5e-3
 
 
 def test_checkrow_field_order():
@@ -403,9 +424,8 @@ def test_suite_pass_is_identical_with_cold_and_warm_caches(monkeypatch):
     # rows of the second pass.
     for cache in (orthopoly._block_layout, orthopoly._cesaro_block_factors,
                   operators._mu_factors, operators._g_n_factors, operators._P_factors,
-                  quadrature._gauss_jacobi_rule):
+                  quadrature._gauss_jacobi_rule, orthopoly._basis_table):
         cache.cache_clear()
-    monkeypatch.setattr(orthopoly, "_BASIS_CACHE", type(orthopoly._BASIS_CACHE)())
     monkeypatch.setattr(kfunc, "_SUP_MATRICES", type(kfunc._SUP_MATRICES)())
     cfg = config_for_rho(0.5)
     ps, ns = (1, 2, math.inf), (4, 8)
@@ -431,3 +451,42 @@ def test_kfunc_runner_matches_verify_bracket_bitwise():
         assert (a.f_id, a.n) == (b.f_id, b.n)
         assert [_bits(v) for v in (a.lhs, a.rhs, a.margin, a.empirical_constant)] == \
             [_bits(v) for v in (b.lhs, b.rhs, b.margin, b.empirical_constant)]
+
+
+def test_proposition_off_p2_scales_the_error_by_the_partial_sum_bound():
+    # rhs = (1 + 2 sigma_p) ||M_n f - f||_p, with sigma_p the largest
+    # empirical partial-sum norm over n in (8, 16, 32); reported, not asserted
+    cfg, ps, ns = WeightConfig(1, (0.0, 0.0)), (1.5, 3), (8, 16)
+    rep = run_proposition(ps, ns, "smoke", seed=7)
+    sigma = {p: max(estimate_operator_norm("partial_sum", p, n, cfg=cfg)
+                    for n in (8, 16, 32)) for p in ps}
+    want = []
+    for f in get_suite("smoke", cfg, 7):
+        fc = FunctionContext(cfg, f, band=144)
+        for n in ns:
+            for p in ps:
+                err, kval = fc.op_error(n, p), fc.kvalues([n], p)[0]
+                rhs = err if err < 1e-14 and kval < 1e-14 else (1.0 + 2.0 * sigma[p]) * err
+                want.append((f.f_id, n, p, _bits(kval), _bits(rhs)))
+    got = [(r.f_id, r.n, r.p, _bits(r.lhs), _bits(r.rhs)) for r in rep.rows]
+    assert got == want
+    assert all(r.margin is None and r.passed for r in rep.rows)
+    for bad in ((1.2,), (2, 4)):
+        with pytest.raises(ValueError, match="4/3 < p < 4"):
+            run_proposition(bad, ns, "smoke")
+
+
+def test_kfunc_rows_off_p2_are_the_brackets_of_a_fresh_context():
+    cfg, ps, ns = config_for_rho(0.5), (1, math.inf), (4, 16)
+    rep = run_kfunc(cfg, ps, ns, "smoke", seed=7)
+    want = []
+    for f in get_suite("smoke", cfg, 7):
+        fc = FunctionContext(cfg, f, band=64)
+        for p in ps:
+            for n in ns:
+                lower = k_lower(cfg, fc.coeffs, n, p, ctx=fc.ctx)
+                upper, _ = k_upper_detail(cfg, fc.coeffs, 1.0 / n, p, ctx=fc.ctx)
+                want.append((f.f_id, p, n, _bits(lower), _bits(upper)))
+    got = [(r.f_id, r.p, r.n, _bits(r.lhs), _bits(r.rhs)) for r in rep.rows]
+    assert got == want
+    assert all(r.empirical_constant is None and r.passed for r in rep.rows)

@@ -7,8 +7,6 @@ quadrature identities (Gram matrix, Parseval) and exact linear-algebra facts
 (truncation, Cesaro damping).
 """
 
-from collections import OrderedDict
-
 import numpy as np
 import pytest
 
@@ -30,7 +28,7 @@ from durrmeyer import (
     weight_mass,
 )
 from durrmeyer import orthopoly
-from durrmeyer.orthopoly import _BASIS_CACHE, TriangleBasis, _stieltjes_recurrence
+from durrmeyer.orthopoly import TriangleBasis, _stieltjes_recurrence
 from durrmeyer.quadrature import ConstructionError, gauss_jacobi_rule, sup_grid_2d
 
 FLAT = WeightConfig(1, (0.0, 0.0))
@@ -283,16 +281,21 @@ def test_basis_table_is_cached():
     assert a is b
 
 
-def test_basis_cache_keeps_the_most_recently_used(monkeypatch):
-    monkeypatch.setattr(orthopoly, "_BASIS_CACHE", OrderedDict())
-    monkeypatch.setattr(orthopoly, "_BASIS_CACHE_SIZE", 2)
+def test_basis_cache_keeps_the_most_recently_used():
+    cache = orthopoly._basis_table
+    cache.cache_clear()
     first = get_basis(FLAT, 1)
-    get_basis(FLAT, 2)
+    for L in range(2, 65):
+        get_basis(FLAT, L)
+    assert cache.cache_info().currsize == cache.cache_info().maxsize == 64
+    assert get_basis(FLAT, 1) is first  # now the most recently used
+    get_basis(FLAT, 65)  # evicts the least recently used, band 2
+    info = cache.cache_info()
+    assert (info.currsize, info.hits, info.misses) == (64, 1, 65)
     assert get_basis(FLAT, 1) is first
-    get_basis(FLAT, 3)
-    assert list(orthopoly._BASIS_CACHE) == [(FLAT, 1), (FLAT, 3)]
-    assert get_basis(FLAT, 2) is not None
-    assert list(orthopoly._BASIS_CACHE) == [(FLAT, 3), (FLAT, 2)]
+    get_basis(FLAT, 2)
+    assert cache.cache_info().misses == 66
+    cache.cache_clear()
 
 
 def test_triangle_basis_blocks_equal_one_pass_bitwise(monkeypatch):
@@ -358,11 +361,12 @@ def test_triangle_basis_rejects_nan_norms(monkeypatch):
 
 @pytest.mark.parametrize("cfg", [FLAT, WeightConfig(2, (0.0, 0.0, 0.0))])
 def test_negative_band_raises_and_caches_nothing(cfg):
+    before = orthopoly._basis_table.cache_info()
     with pytest.raises(ValueError, match="band L = -1 is negative"):
         get_basis(cfg, -1)
     with pytest.raises(ValueError, match="band L = -1 is negative"):
         project(lambda x: np.ones(len(x)), cfg, -1)
-    assert not any(L < 0 for _, L in _BASIS_CACHE)
+    assert orthopoly._basis_table.cache_info() == before
 
 
 def _monic_stieltjes(nodes, weights, L):
