@@ -914,6 +914,8 @@ def _identity_scan(check_id, n_lo, n_max, tol, seed, sides):
     """Worst relative residual of an identity lhs = rhs between coefficient
     vectors, over n_lo <= n <= n_max on each of the three weights, where
     sides(cfg, n, rng) gives the two sides for a random f."""
+    if n_max < n_lo:
+        raise ValueError("%s needs n_max >= %d, got %d" % (check_id, n_lo, n_max))
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     rows = []

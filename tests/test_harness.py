@@ -167,6 +167,11 @@ def test_verify_direct_single_eigenfunction():
 def test_structural_verifiers_small():
     assert verify_telescoping(n_max=6).passed
     assert verify_q_identity(n_max=8).passed
+    # an empty degree range raises instead of passing with no residual
+    with pytest.raises(ValueError, match="TELESCOPE needs n_max >= 1, got 0"):
+        verify_telescoping(n_max=0)
+    with pytest.raises(ValueError, match="QIDENT needs n_max >= 2, got 1"):
+        verify_q_identity(n_max=1)
     assert verify_cesaro_contraction(n_max=8).passed
     assert verify_bracket(ns=(4, 16)).passed
 
