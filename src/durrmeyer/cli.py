@@ -185,8 +185,13 @@ def _setting(name, value):
     if name == "ps":
         tokens = value if isinstance(value, (list, tuple)) else str(value).split(",")
         return tuple(_parse_p_token(str(tok)) for tok in tokens)
-    default = RunConfig.__dataclass_fields__[name].default
-    return type(default)(value) if isinstance(default, (int, float)) else value
+    kind = type(RunConfig.__dataclass_fields__[name].default)
+    if kind is bool and not isinstance(value, bool):
+        raise ConfigError("%s must be true or false, got %r" % (name, value))
+    if kind is int and (isinstance(value, bool) or not isinstance(value, (int, float))
+                        or not float(value).is_integer()):
+        raise ConfigError("%s must be an integer, got %r" % (name, value))
+    return kind(value) if kind in (bool, int, float) else value
 
 
 def parse_config(argv=None) -> RunConfig:
@@ -248,16 +253,6 @@ def run(cfg: RunConfig):
 # serialization
 
 
-def _fmt_num(value):
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return "%.17g" % value
-    return "%.17g" % float(value)
-
-
 def _fmt_cell(name, value):
     if value is None:
         return ""
@@ -267,7 +262,7 @@ def _fmt_cell(name, value):
         return ";".join("%.17g" % a for a in value)
     if name == "passed":
         return "True" if value else "False"
-    return _fmt_num(value)
+    return "%.17g" % float(value)
 
 
 def rows_to_csv(rows) -> str:
@@ -324,10 +319,9 @@ def _summary(reports, stream, wall_s):
     failed = [r for r in reports if not r.passed]
     for rep in reports:
         flag = "ok  " if rep.passed else "FAIL"
-        worst = "" if rep.worst_margin is None else \
-            " worst_margin=%.3e" % rep.worst_margin
-        stream.write("%s %-10s rows=%d%s runtime_ms=%d\n"
-                     % (flag, rep.check_id, len(rep.rows), worst, rep.runtime_ms))
+        stream.write("%s %-10s rows=%d worst_margin=%.3e runtime_ms=%d\n"
+                     % (flag, rep.check_id, len(rep.rows), rep.worst_margin,
+                        rep.runtime_ms))
     if failed:
         stream.write("%d of %d checks failed: %s\n"
                      % (len(failed), len(reports),

@@ -74,12 +74,15 @@ class CheckReport:
     rows: list = field(default_factory=list)
 
 
-def _finish(check_id, grid, rows, t0, empirical=None):
+def _finish(check_id, grid, rows, t0):
+    """The report of a check from its rows; no rows raises, so that no
+    report passes without having checked anything."""
+    if not rows:
+        raise ValueError("%s has no rows to check on the grid %s" % (check_id, grid))
     margins = [r.margin for r in rows if r.margin is not None]
     worst = min(margins) if margins else 0.0
-    if empirical is None:
-        emps = [r.empirical_constant for r in rows if r.empirical_constant is not None]
-        empirical = max(emps) if emps else None
+    emps = [r.empirical_constant for r in rows if r.empirical_constant is not None]
+    empirical = max(emps) if emps else None
     return CheckReport(
         check_id=check_id,
         grid=grid,
@@ -117,29 +120,35 @@ def check_lemma(lemma_id, rhos=None, n_max=None, delta=0.25, b=4.0,
                 seed=DEFAULT_SEED, tol_identity=None) -> CheckReport:
     t0 = time.perf_counter()
     tol_id = TOL_IDENTITY if tol_identity is None else float(tol_identity)
+    if rhos is not None and not len(rhos):
+        raise ValueError("%s got an empty rhos; None means the default grid" % lemma_id)
     if lemma_id == "L1":
-        return _check_l1(rhos or RHO_GRID_FULL, _default(n_max, 512), t0)
+        return _check_l1(_default(rhos, RHO_GRID_FULL), _default(n_max, 512), t0)
     if lemma_id == "L1-xi":
-        return _check_l1_xi(rhos or RHO_GRID_FULL, _default(n_max, 512), t0)
+        return _check_l1_xi(_default(rhos, RHO_GRID_FULL), _default(n_max, 512), t0)
     if lemma_id == "L3":
-        return _check_sup_simple("L3", rhos or RHO_GRID_SUP, _default(n_max, 2048), t0)
+        return _check_sup_simple("L3", _default(rhos, RHO_GRID_SUP),
+                                 _default(n_max, 2048), t0)
     if lemma_id == "L4":
-        return _check_sup_simple("L4", rhos or RHO_GRID_SUP, _default(n_max, 2048), t0)
+        return _check_sup_simple("L4", _default(rhos, RHO_GRID_SUP),
+                                 _default(n_max, 2048), t0)
     if lemma_id == "L5":
-        return _check_l5(rhos or RHO_GRID_NONNEG, t0)
+        return _check_l5(_default(rhos, RHO_GRID_NONNEG), t0)
     if lemma_id == "L6":
-        return _check_l6(rhos or RHO_GRID_SUP, _default(n_max, 2048), delta, b, t0)
+        return _check_l6(_default(rhos, RHO_GRID_SUP), _default(n_max, 2048), delta, b, t0)
     if lemma_id == "HAT":
-        return _check_hat(rhos or RHO_GRID_NONNEG, t0)
+        return _check_hat(_default(rhos, RHO_GRID_NONNEG), t0)
     if lemma_id == "EQ24":
-        return _check_eq24(rhos or RHO_GRID_FULL, _default(n_max, 64), seed, t0, tol_id)
+        return _check_eq24(_default(rhos, RHO_GRID_FULL), _default(n_max, 64), seed, t0,
+                           tol_id)
     if lemma_id == "MULT-ID":
-        return _check_mult_id(rhos or RHO_GRID_FULL, _default(n_max, 200), t0, tol_id)
+        return _check_mult_id(_default(rhos, RHO_GRID_FULL), _default(n_max, 200), t0,
+                              tol_id)
     raise ValueError("unknown lemma id %r (one of %s)" % (lemma_id, ", ".join(LEMMA_IDS)))
 
 
-def _default(n_max, value):
-    return value if n_max is None else n_max
+def _default(value, fallback):
+    return fallback if value is None else value
 
 
 # Bytes of one float table per block of degrees in the L1, L1-xi, EQ24 and
@@ -278,7 +287,6 @@ def _check_sup_simple(which, rhos, n_max, t0):
     _require_nonneg(rhos, which)
     ns = _ladder(which, n_max)
     rows = []
-    overall = 0.0
     for rho in rhos:
         cfg = config_for_rho(rho)
         sups, locs = [], []
@@ -296,7 +304,6 @@ def _check_sup_simple(which, rhos, n_max, t0):
                 locs.append((n, None))
         low, up, margin = _stabilization(ns, sups)
         peak = max(sups)
-        overall = max(overall, peak)
         n_at, ell_at = locs[int(np.argmax(sups))]
         rows.append(CheckRow(which, d=1, alphas=cfg.alphas, rho=rho, n=n_at,
                              ell_or_tau=ell_at, lhs=up, rhs=STABILIZATION_RATIO * low,
@@ -304,7 +311,7 @@ def _check_sup_simple(which, rhos, n_max, t0):
                              passed=margin >= 0.0))
     grid = "rho in %s, n dyadic 8..%d, stabilization ratio %.2f" % (
         list(rhos), n_max, STABILIZATION_RATIO)
-    return _finish(which, grid, rows, t0, empirical=overall)
+    return _finish(which, grid, rows, t0)
 
 
 def _open_grid(upper, count=200):
@@ -384,7 +391,6 @@ def _check_l6(rhos, n_max, delta, b, t0):
     ns = _ladder("L6", n_max, lambda n: 1.0 <= math.sqrt(b * n) <= n - 1,
                  " with 1 <= sqrt(b n) <= n-1")
     rows = []
-    overall = 0.0
     for rho in rhos:
         cfg = config_for_rho(rho)
         per_sub = {"L60": [], "L6a": [], "L6b": []}
@@ -406,7 +412,6 @@ def _check_l6(rhos, n_max, delta, b, t0):
             low, up, margin = _stabilization(ns, sups)
             peak_i = int(np.argmax(sups))
             peak, n_at, where = triples[peak_i]
-            overall = max(overall, peak)
             rows.append(CheckRow(cid, d=1, alphas=cfg.alphas, rho=rho, n=n_at,
                                  ell_or_tau=where, lhs=up,
                                  rhs=STABILIZATION_RATIO * low, margin=margin,
@@ -414,7 +419,7 @@ def _check_l6(rhos, n_max, delta, b, t0):
     grid = ("rho in %s, n dyadic %d..%d, delta=%g, b=%g, 200-point tau grids, "
             "stabilization ratio %.2f") % (list(rhos), ns[0], ns[-1], delta, b,
                                            STABILIZATION_RATIO)
-    return _finish("L6", grid, rows, t0, empirical=overall)
+    return _finish("L6", grid, rows, t0)
 
 
 # Node count of each half of the HAT rule.  A fixed Gauss rule suffices: on

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .orthopoly import SpectralCoefficients
+from .orthopoly import SpectralCoefficients, _point_matrix
 from .quadrature import QuadratureRule, interval_rule, simplex_rule_2d
 from .specfun import gamma_ratio_log, log_gamma
 from .spectrum import WeightConfig, eigenvalue_mu_all, multiplier_nu_all
@@ -49,21 +49,6 @@ def index_range(n, d):
     if d == 2:
         return tuple((k1, k2) for k1 in range(n + 1) for k2 in range(n - k1 + 1))
     raise ValueError("only d = 1 and d = 2 are supported")
-
-
-def _point_matrix(d, x):
-    """Normalize x to shape (npts, d); returns (pts, was_single_point)."""
-    arr = np.asarray(x, dtype=float)
-    if d == 1:
-        single = arr.ndim == 0
-        return arr.reshape(-1, 1), single
-    if arr.ndim == 1:
-        if arr.shape != (2,):
-            raise ValueError("a single d = 2 point must have two coordinates")
-        return arr.reshape(1, 2), True
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError("d = 2 points must have shape (npts, 2)")
-    return arr, False
 
 
 def _log_multinomial(n, ks):

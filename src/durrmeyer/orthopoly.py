@@ -395,16 +395,31 @@ def _basis_table(cfg, L):
     return IntervalBasis(cfg, L) if cfg.d == 1 else TriangleBasis(cfg, L)
 
 
+def _point_matrix(d, x):
+    """Points x as an (npts, d) array, and whether x was a single point.
+
+    On the interval a point is a scalar and an array of points is 1-D; on
+    the triangle a point is one (x1, x2) pair and an array of points has
+    shape (npts, 2).  Any other shape raises a ValueError."""
+    arr = np.asarray(x, dtype=float)
+    if d == 1:
+        if arr.ndim > 1:
+            raise ValueError("d = 1 points must be a scalar or a 1-D array, "
+                             "got shape %s" % (arr.shape,))
+        return arr.reshape(-1, 1), arr.ndim == 0
+    if arr.shape == (2,):
+        return arr.reshape(1, 2), True
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError("d = 2 points must be one (x1, x2) pair or an array "
+                         "of shape (npts, 2), got shape %s" % (arr.shape,))
+    return arr, False
+
+
 def _at_points(cfg: WeightConfig, x, values):
-    """values(points) at x: on the interval a scalar or a vector of points,
-    on the triangle one (x1, x2) pair or an array of pairs.  A single point
+    """values(points) at the points x, read by _point_matrix: a single point
     gives a float, an array of points an array."""
-    pts = np.asarray(x, dtype=float)
-    if cfg.d == 1:
-        single, pts = pts.ndim == 0, np.atleast_1d(pts)
-    else:
-        single, pts = pts.ndim == 1, pts.reshape(-1, 2)
-    vals = values(pts)
+    pts, single = _point_matrix(cfg.d, x)
+    vals = values(pts[:, 0] if cfg.d == 1 else pts)
     return float(vals[0]) if single else vals
 
 

@@ -158,8 +158,7 @@ def _values_on(f, points):
     else:
         vals = f
     vals = np.asarray(vals, dtype=float)
-    n_points = points.shape[0] if points.ndim > 1 else points.shape[0]
-    if vals.shape != (n_points,):
+    if vals.shape != (points.shape[0],):
         raise ValueError("function values do not match the node count")
     return vals
 
@@ -171,7 +170,7 @@ def lp_norm(f, rule, p, cfg: WeightConfig | None = None) -> float:
     (sum w_i |f(x_i)|^p)^(1/p).  For p = inf, pass a dense grid (an ndarray of
     points) instead of a rule; the sup norm is the max of |f| over the grid.
     """
-    if p == np.inf or p == "inf":
+    if p == np.inf:
         if isinstance(rule, QuadratureRule):
             raise ValueError("p = inf takes a dense grid, not a QuadratureRule")
         grid = np.asarray(rule, dtype=float)

@@ -215,6 +215,10 @@ def test_config_file_merge(tmp_path):
     assert cfg2.n_stop == 16
     assert cfg2.seed == 9
     assert cfg2.suite == "eig"
+    # an integral float is an integer, and a JSON boolean a boolean
+    conf.write_text(json.dumps({"command": "norms", "n-start": 4.0, "dyadic": False}))
+    cfg3 = parse_config(["--config", str(conf)])
+    assert type(cfg3.n_start) is int and cfg3.n_start == 4 and cfg3.dyadic is False
 
 
 def test_config_file_rejects_unknown_keys(tmp_path):
@@ -222,6 +226,22 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     conf.write_text(json.dumps({"command": "norms", "bogus": 1}))
     with pytest.raises(ConfigError):
         parse_config(["--config", str(conf)])
+
+
+@pytest.mark.parametrize("key, value, match", [
+    ("dyadic", "false", "dyadic must be true or false"),
+    ("dyadic", 0, "dyadic must be true or false"),
+    ("n_start", 4.7, "n_start must be an integer"),
+    ("n_stop", "10", "n_stop must be an integer"),
+    ("seed", True, "seed must be an integer"),
+])
+def test_config_file_values_must_have_their_field_type(tmp_path, capsys, key, value, match):
+    conf = tmp_path / "typed.json"
+    conf.write_text(json.dumps({"command": "norms", "n_start": 4, "n_stop": 10,
+                                key: value}))
+    rc = run_main(["--config", str(conf)])
+    assert rc == 2
+    assert match in capsys.readouterr().err
 
 
 def test_n_range_construction():

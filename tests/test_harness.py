@@ -25,6 +25,7 @@ from durrmeyer import (
     k_upper_detail,
     run_direct,
     run_kfunc,
+    run_norms,
     run_proposition,
     run_theorem1,
     verify_bracket,
@@ -356,6 +357,18 @@ def test_empty_degree_ranges_raise():
                             ("L1", 0), ("EQ24", 0), ("MULT-ID", -3)):
         with pytest.raises(ValueError, match="no degree satisfies"):
             check_lemma(lemma_id, n_max=n_max)
+
+
+def test_no_report_passes_without_rows():
+    with pytest.raises(ValueError, match="X has no rows"):
+        _finish("X", "unit", [], time.perf_counter())
+    with pytest.raises(ValueError, match="THM1 has no rows"):
+        run_theorem1(ps=())
+    with pytest.raises(ValueError, match="NORMS has no rows"):
+        run_norms(WeightConfig(1, (0.0, 0.0)), (), (4,))
+    # an empty rho grid is no request for the default one
+    with pytest.raises(ValueError, match="L5 got an empty rhos"):
+        check_lemma("L5", rhos=())
 
 
 def test_interval_only_suites_reject_the_triangle():

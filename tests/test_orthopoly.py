@@ -92,6 +92,27 @@ def test_degree_zero_is_inverse_root_mass():
     assert abs(got - np.sqrt(2.0)) <= 1e-12
 
 
+def test_point_arrays_of_the_wrong_shape_raise():
+    tri = WeightConfig(2, (0.5, -0.5, 1.0))
+    tri_coeffs = SpectralCoefficients.zeros(tri, 4)
+    flat_coeffs = SpectralCoefficients.zeros(FLAT, 4)
+    # a flat 4-vector is not two points, and a (2, 3) array is not pairs
+    for bad in (np.array([0.1, 0.2, 0.3, 0.4]), np.zeros((2, 3)), np.zeros((1, 1, 2))):
+        with pytest.raises(ValueError, match=r"shape \(npts, 2\)"):
+            synthesize(tri_coeffs, bad)
+        with pytest.raises(ValueError, match=r"shape \(npts, 2\)"):
+            basis_eval(tri, 1, 0, bad)
+    with pytest.raises(ValueError, match="scalar or a 1-D array"):
+        synthesize(flat_coeffs, np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="scalar or a 1-D array"):
+        basis_eval(FLAT, 1, 0, np.zeros((2, 2)))
+    # the shapes that stay valid: one point gives a float, points an array
+    assert isinstance(synthesize(tri_coeffs, [0.1, 0.2]), float)
+    assert synthesize(tri_coeffs, np.zeros((3, 2))).shape == (3,)
+    assert isinstance(basis_eval(FLAT, 1, 0, 0.3), float)
+    assert basis_eval(FLAT, 1, 0, np.zeros(5)).shape == (5,)
+
+
 def test_parseval():
     rng = np.random.default_rng(2024)
     L = 8
