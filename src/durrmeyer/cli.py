@@ -185,13 +185,15 @@ def _setting(name, value):
     if name == "ps":
         tokens = value if isinstance(value, (list, tuple)) else str(value).split(",")
         return tuple(_parse_p_token(str(tok)) for tok in tokens)
-    kind = type(RunConfig.__dataclass_fields__[name].default)
-    if kind is bool and not isinstance(value, bool):
+    kind = RunConfig.__dataclass_fields__[name].type  # the annotation, as a string
+    if kind == "bool" and not isinstance(value, bool):
         raise ConfigError("%s must be true or false, got %r" % (name, value))
-    if kind is int and (isinstance(value, bool) or not isinstance(value, (int, float))
-                        or not float(value).is_integer()):
+    number = type(value) in (int, float) and abs(value) <= sys.float_info.max  # not bool
+    if kind == "int" and not (number and float(value).is_integer()):
         raise ConfigError("%s must be an integer, got %r" % (name, value))
-    return kind(value) if kind in (bool, int, float) else value
+    if kind == "float" and not number:
+        raise ConfigError("%s must be a finite number, got %r" % (name, value))
+    return int(value) if kind == "int" else float(value) if kind == "float" else value
 
 
 def parse_config(argv=None) -> RunConfig:

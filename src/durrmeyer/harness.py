@@ -631,6 +631,13 @@ def verify_direct(cfg, f, p, n) -> CheckReport:
                    rows, t0)
 
 
+def _top_degree(check_id, ns):
+    """max(ns), which sets a suite check's band; an empty ns raises."""
+    if not len(ns):
+        raise ValueError("%s needs at least one degree n, got ns=%r" % (check_id, ns))
+    return max(ns)
+
+
 _SUITE_PS = (1, 2, math.inf)
 _DIRECT_NS = (4, 8, 16, 32, 64)
 _THEOREM1_NS = (4, 8, 16, 32)
@@ -640,7 +647,7 @@ def run_direct(cfg=None, ps=_SUITE_PS, ns=_DIRECT_NS, suite_name="full",
                seed=DEFAULT_SEED, band=None) -> CheckReport:
     """Direct estimate over the suite; the band defaults to max(64, max ns)."""
     cfg = cfg if cfg is not None else config_for_rho(0.0)
-    band = band if band is not None else max(64, max(ns))
+    band = band if band is not None else max(64, _top_degree("DIRECT", ns))
     return _suite_checks(cfg, suite_name, seed, band, {"DIRECT": (ps, ns)})[0]
 
 
@@ -674,7 +681,7 @@ def run_theorem1(cfg=None, ps=_SUITE_PS, ns=_THEOREM1_NS, suite_name="full",
     asserted at p = 2 where K is computed exactly, reported conservatively
     (upper-bound K) at other p.  The band defaults to max(64, 2 max ns)."""
     cfg = cfg if cfg is not None else config_for_rho(0.0)
-    band = band if band is not None else max(64, 2 * max(ns))
+    band = band if band is not None else max(64, 2 * _top_degree("THM1", ns))
     return _suite_checks(cfg, suite_name, seed, band, {"THM1": (ps, ns)})[0]
 
 
@@ -702,13 +709,13 @@ def run_proposition(ps=(2,), ns=(8, 16, 32, 64, 128), suite_name="full",
     against 3; at other p in (4/3, 4) the ratio is reported against an
     empirical partial-sum norm bound.  The band is max(144, max ns + 16)."""
     cfg = WeightConfig(1, (0.0, 0.0))
+    band = max(144, _top_degree("PROP", ns) + 16)
     for p in ps:
         if not (p == 2 or 4.0 / 3.0 < p < 4.0):
             raise ValueError("proposition requires 4/3 < p < 4, got %s" % (p,))
     sigma = {p: max(estimate_operator_norm("partial_sum", p, n, cfg=cfg)
                     for n in (8, 16, 32)) for p in ps if p != 2}
-    return _suite_checks(cfg, suite_name, seed, max(144, max(ns) + 16),
-                         {"PROP": (ps, ns, sigma)})[0]
+    return _suite_checks(cfg, suite_name, seed, band, {"PROP": (ps, ns, sigma)})[0]
 
 
 def _bracket_rows(check_id, fc: FunctionContext, ps, ns):
@@ -741,14 +748,15 @@ def _bracket_rows(check_id, fc: FunctionContext, ps, ns):
 def verify_bracket(ns=(4, 16, 64), seed=DEFAULT_SEED) -> CheckReport:
     """Ordering of the three K estimates at p = 2 over the full suite."""
     # k_lower applies every degree n exactly
-    return _suite_checks(WeightConfig(1, (0.0, 0.0)), "full", seed,
-                         max(64, max(ns)), {"KBRACKET": ((2,), ns)})[0]
+    band = max(64, _top_degree("KBRACKET", ns))
+    return _suite_checks(WeightConfig(1, (0.0, 0.0)), "full", seed, band,
+                         {"KBRACKET": ((2,), ns)})[0]
 
 
 def run_kfunc(cfg, ps, ns, suite_name="full", seed=DEFAULT_SEED) -> CheckReport:
     """K-functional brackets over a suite: lhs = lower bound, rhs = upper
     bound, empirical_constant = exact value at p = 2."""
-    return _suite_checks(cfg, suite_name, seed, max(64, max(ns)),
+    return _suite_checks(cfg, suite_name, seed, max(64, _top_degree("KFUNC", ns)),
                          {"KFUNC": (ps, ns)})[0]
 
 

@@ -5,11 +5,11 @@ degree-ell eigenspace of the Durrmeyer operator, so every operator downstream
 acts on a coefficient vector by scalar factors per block.  Any orthonormal
 basis of each block works for that purpose.
 
-On [0,1] the basis comes from the classical three-term recurrence whose
-coefficients are generated by a discretized Stieltjes sweep over an exact
-Gauss-Jacobi rule.  On the triangle we use a Koornwinder-style product basis;
-the inner factor is kept in homogenized form so evaluation has no division
-by 1 - x1.
+On [0,1] the basis comes from the classical three-term recurrence, whose
+coefficients for a Jacobi weight are known in closed form, so no quadrature
+rule is involved.  On the triangle we use a Koornwinder-style product
+basis; the inner factor is kept in homogenized form so evaluation has no
+division by 1 - x1.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import gauss_jacobi_rule, interval_rule, simplex_rule_2d
+from .quadrature import interval_rule, simplex_rule_2d, weight_mass
 from .spectrum import WeightConfig
 
 _DEFAULT_BAND = {1: 64, 2: 24}
@@ -172,34 +172,19 @@ class SpectralCoefficients:
         return self * -1.0
 
 
-def _stieltjes_recurrence(nodes, weights, L):
-    """Monic three-term recurrence coefficients from a discrete measure.
-
-    Returns (a, b) with b[0] the total mass; exact when the quadrature
-    integrates degree 2L+1.
-
-    The sweep carries q_k = 4^k p_k instead of the monic p_k: on [0, 1] the
-    squared norm of p_k falls like 16^-k and leaves the normal range near
-    k = 256, while q_k stays of order one.  Every rescaling is by a power of
-    two, so wherever the monic sweep stays clear of subnormals the
-    coefficients agree with it bit for bit.
-    """
-    a = np.empty(L + 1)
-    b = np.empty(L + 1)
-    q_prev = np.zeros_like(nodes)
-    q_cur = np.ones_like(nodes)
-    norm_prev = 1.0
-    for k in range(L + 1):
-        norm_cur = np.dot(weights, q_cur * q_cur)
-        if not norm_cur > 0.0:
-            raise ArithmeticError("lost positivity in Stieltjes sweep at k=%d" % k)
-        a[k] = np.dot(weights, nodes * q_cur * q_cur) / norm_cur
-        b[k] = norm_cur if k == 0 else norm_cur / norm_prev / 16.0
-        q_next = (nodes - a[k]) * q_cur
-        if k > 0:
-            q_next -= (4.0 * b[k]) * q_prev
-        q_next *= 4.0
-        q_prev, q_cur, norm_prev = q_cur, q_next, norm_cur
+def _jacobi_recurrence(a1, a2, L):
+    """Monic three-term recurrence coefficients (a, b), degrees 0..L, of the
+    weight x^a1 (1-x)^a2 on [0, 1]: the Jacobi coefficients of DLMF 18.9
+    moved to [0, 1].  b[0] is the total mass; a[0] and b[1] take their own
+    forms, as the general ones are 0/0 at a1 + a2 = 0 and at -1."""
+    k = np.arange(L + 1.0)
+    s = 2.0 * k + a1 + a2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = 0.5 + (a1 - a2) * (a1 + a2) / (2.0 * s * (s + 2.0))
+        b = k * (k + a1) * (k + a2) * (k + a1 + a2) / (s * s * (s + 1.0) * (s - 1.0))
+    a[0] = (a1 + 1.0) / (a1 + a2 + 2.0)
+    b[0] = weight_mass((a1, a2))
+    b[1:2] = (a1 + 1.0) * (a2 + 1.0) / ((a1 + a2 + 2.0) ** 2 * (a1 + a2 + 3.0))
     return a, b
 
 
@@ -211,8 +196,7 @@ class IntervalBasis:
             raise ValueError("IntervalBasis needs d = 1")
         self.cfg = cfg
         self.L = int(L)
-        rule = gauss_jacobi_rule(cfg.alphas[0], cfg.alphas[1], self.L + 2)
-        self._rec_a, rec_b = _stieltjes_recurrence(rule.nodes, rule.weights, self.L)
+        self._rec_a, rec_b = _jacobi_recurrence(*cfg.alphas, self.L)
         self._rec_sqb = np.sqrt(rec_b)
         self.size = self.L + 1
 

@@ -219,6 +219,10 @@ def test_config_file_merge(tmp_path):
     conf.write_text(json.dumps({"command": "norms", "n-start": 4.0, "dyadic": False}))
     cfg3 = parse_config(["--config", str(conf)])
     assert type(cfg3.n_start) is int and cfg3.n_start == 4 and cfg3.dyadic is False
+    # a float setting takes a JSON number, an integral one too
+    conf.write_text(json.dumps({"command": "norms", "tol_identity": 1e-10, "delta": 1}))
+    cfg4 = parse_config(["--config", str(conf)])
+    assert cfg4.tol_identity == 1e-10 and type(cfg4.delta) is float and cfg4.delta == 1.0
 
 
 def test_config_file_rejects_unknown_keys(tmp_path):
@@ -234,6 +238,14 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     ("n_start", 4.7, "n_start must be an integer"),
     ("n_stop", "10", "n_stop must be an integer"),
     ("seed", True, "seed must be an integer"),
+    ("tol_identity", True, "tol_identity must be a finite number"),
+    ("tol_quadrature", True, "tol_quadrature must be a finite number"),
+    ("delta", True, "delta must be a finite number"),
+    ("delta", "x", "delta must be a finite number"),
+    ("b", "4", "b must be a finite number"),
+    ("tol_identity", "1e-10", "tol_identity must be a finite number"),
+    ("tol_quadrature", float("nan"), "tol_quadrature must be a finite number"),
+    pytest.param("delta", 10 ** 400, "delta must be a finite number", id="delta-10**400"),
 ])
 def test_config_file_values_must_have_their_field_type(tmp_path, capsys, key, value, match):
     conf = tmp_path / "typed.json"

@@ -371,6 +371,19 @@ def test_no_report_passes_without_rows():
         check_lemma("L5", rhos=())
 
 
+@pytest.mark.parametrize("check_id, call", [
+    ("DIRECT", lambda: run_direct(WeightConfig(1, (0.0, 0.0)), (2,), ())),
+    ("THM1", lambda: run_theorem1(WeightConfig(1, (0.0, 0.0)), (2,), ())),
+    ("KFUNC", lambda: run_kfunc(WeightConfig(1, (0.0, 0.0)), (2,), ())),
+    ("KBRACKET", lambda: verify_bracket(ns=())),
+    ("PROP", lambda: run_proposition((2,), ns=())),
+])
+def test_suite_checks_name_an_empty_degree_tuple(check_id, call):
+    with pytest.raises(ValueError, match=r"%s needs at least one degree n, got ns=\(\)"
+                       % check_id):
+        call()
+
+
 def test_interval_only_suites_reject_the_triangle():
     tri = WeightConfig(2, (0.0, 0.0, 0.0))
     for name in ("kink", "full", "poly", "smoke"):

@@ -28,8 +28,8 @@ from durrmeyer import (
     weight_mass,
 )
 from durrmeyer import orthopoly
-from durrmeyer.orthopoly import TriangleBasis, _stieltjes_recurrence
-from durrmeyer.quadrature import ConstructionError, gauss_jacobi_rule, sup_grid_2d
+from durrmeyer.orthopoly import TriangleBasis
+from durrmeyer.quadrature import ConstructionError, sup_grid_2d
 
 FLAT = WeightConfig(1, (0.0, 0.0))
 
@@ -390,39 +390,31 @@ def test_negative_band_raises_and_caches_nothing(cfg):
     assert orthopoly._basis_table.cache_info() == before
 
 
-def _monic_stieltjes(nodes, weights, L):
-    """The unscaled monic sweep, the reference where it stays clear of
-    subnormals; past band ~250 its squared norms underflow."""
-    a = np.empty(L + 1)
-    b = np.empty(L + 1)
-    p_prev = np.zeros_like(nodes)
-    p_cur = np.ones_like(nodes)
-    norm_prev = 1.0
-    for k in range(L + 1):
-        norm_cur = np.dot(weights, p_cur * p_cur)
-        a[k] = np.dot(weights, nodes * p_cur * p_cur) / norm_cur
-        b[k] = norm_cur if k == 0 else norm_cur / norm_prev
-        p_next = (nodes - a[k]) * p_cur
-        if k > 0:
-            p_next -= b[k] * p_prev
-        p_prev, p_cur, norm_prev = p_cur, p_next, norm_cur
-    return a, b
+# off the zeros of every P_n tested, where mpmath's series does not converge
+_MPMATH_XS = (0.0, 0.0123, 0.137, 0.31416, 0.4621, 0.6789, 0.8534, 0.9877, 1.0)
 
 
-def test_scaled_stieltjes_sweep_matches_monic_sweep_bitwise():
-    for alphas in [(0.0, 0.0), (-0.5, -0.5), (0.5, 1.5), (2.0, -0.9)]:
-        for L in (1, 64, 144):
-            rule = gauss_jacobi_rule(alphas[0], alphas[1], L + 2)
-            got_a, got_b = _stieltjes_recurrence(rule.nodes, rule.weights, L)
-            want_a, want_b = _monic_stieltjes(rule.nodes, rule.weights, L)
-            assert np.array_equal(got_a, want_a), (alphas, L)
-            assert np.array_equal(got_b, want_b), (alphas, L)
+def _jacobi_orthonormal_mpmath(alphas, n, xs):
+    """p_n(x) = P_n^(a2, a1)(2x - 1) / sqrt(h_n) at 50 digits, h_n being the
+    closed-form squared norm against x^a1 (1-x)^a2 on [0, 1]."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        a1, a2 = (mpmath.mpf(a) for a in alphas)
+        h = (mpmath.gamma(n + a1 + 1) * mpmath.gamma(n + a2 + 1)
+             / ((2 * n + a1 + a2 + 1) * mpmath.gamma(n + a1 + a2 + 1)
+                * mpmath.factorial(n)))
+        return np.array([float(mpmath.jacobi(n, a2, a1, 2 * mpmath.mpf(x) - 1)
+                               / mpmath.sqrt(h)) for x in xs])
 
 
-def test_band_512_basis_is_orthonormal():
-    L = 512
-    for alphas in [(0.0, 0.0), (-0.5, -0.5), (0.5, 1.5)]:
-        rule = gauss_jacobi_rule(alphas[0], alphas[1], L + 2)
-        gram = gram_matrix(WeightConfig(1, alphas), L, rule)
-        err = np.max(np.abs(gram - np.eye(L + 1)))
-        assert err <= 1e-12, (alphas, err)
+@pytest.mark.parametrize("alphas, L", [
+    (alphas, L)
+    for alphas in [(0.0, 0.0), (-0.5, -0.5), (0.5, 1.5), (-0.9, 2.0), (3.0, -0.95),
+                   (-1.0 + 1e-6, 0.3)]
+    for L in (64, 256, 512)] + [((-1.0 + 1e-12, 0.5), 40)])
+def test_interval_basis_matches_mpmath_jacobi(alphas, L):
+    values = get_basis(WeightConfig(1, alphas), L).eval_all(np.array(_MPMATH_XS))
+    for n in (1, 2, L // 4, L // 2, 3 * L // 4, L):
+        want = _jacobi_orthonormal_mpmath(alphas, n, _MPMATH_XS)
+        err = np.max(np.abs(values[:, n] - want)) / np.max(np.abs(want))
+        assert err <= 2e-11, (alphas, L, n, err)
