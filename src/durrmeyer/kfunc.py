@@ -20,8 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import apply_durrmeyer_spectral, apply_P_spectral, build_g_n
-from .orthopoly import SpectralCoefficients, _cesaro_block_factors, get_basis
+from .operators import (_check_operator_args, apply_durrmeyer_spectral, apply_P_spectral,
+                        build_g_n)
+from .orthopoly import (SpectralCoefficients, _cesaro_block_factors, _no_kinks_on_triangle,
+                        get_basis)
 from .quadrature import interval_rule, lp_norm, simplex_rule_2d, sup_grid, sup_grid_2d
 from .spectrum import WeightConfig
 
@@ -146,11 +148,6 @@ def k_exact_p2(cfg: WeightConfig, f: SpectralCoefficients, t, tail_norm=0.0):
     keep_mean = math.sqrt(float((b[1:] * b[1:]).sum()) + tail2)
     out = np.where(at_inf, keep_mean, np.minimum(np.minimum(best, keep_f), keep_mean))
     return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
-
-
-def _no_kinks_on_triangle(kinks):
-    if kinks:
-        raise ValueError("kink splits are only supported for d = 1")
 
 
 def sup_points(cfg: WeightConfig, kinks=()):
@@ -335,9 +332,7 @@ def k_upper(cfg: WeightConfig, f: SpectralCoefficients, t, p, *,
 def k_lower(cfg: WeightConfig, f: SpectralCoefficients, n, p, *,
             ctx: NormContext = None) -> float:
     """||M_n f - f||_p / 2, the direct-estimate lower bound at t = 1/n."""
-    n = int(n)
-    if n < 1:
-        raise ValueError("need n >= 1")
+    n = _check_operator_args(cfg, n, f)
     if ctx is None:
         ctx = NormContext(cfg, f)
     if ctx.tail_norm > 0.0 and n > f.max_degree:

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .orthopoly import SpectralCoefficients, _point_matrix
+from .orthopoly import SpectralCoefficients, _no_kinks_on_triangle, _point_matrix
 from .quadrature import QuadratureRule, interval_rule, simplex_rule_2d
 from .specfun import gamma_ratio_log, log_gamma
-from .spectrum import WeightConfig, eigenvalue_mu_all, multiplier_nu_all
+from .spectrum import WeightConfig, _check_n, eigenvalue_mu_all, multiplier_nu_all
 
 
 @dataclass(frozen=True)
@@ -215,6 +215,16 @@ def basis_moment(cfg: WeightConfig, n, k) -> float:
     return float(np.exp(_log_moments(cfg, idx.n, [idx.k])[0]))
 
 
+def _check_operator_args(cfg: WeightConfig, n, coeffs: SpectralCoefficients = None):
+    """The operator degree n as an int, after checking that it is a positive
+    integer and that coeffs, if given, are on the operator's weight."""
+    n = _check_n(n)
+    if coeffs is not None and coeffs.cfg is not cfg and coeffs.cfg != cfg:
+        raise ValueError("coefficients on the weight %s given to an operator on %s"
+                         % (coeffs.cfg.alphas, cfg.alphas))
+    return n
+
+
 @dataclass(frozen=True, eq=False)
 class DurrmeyerPlan:
     """Precomputed pieces for repeated basis-form applications at fixed n:
@@ -238,16 +248,13 @@ class DurrmeyerPlan:
 def make_plan(cfg: WeightConfig, n, f_degree=None, splits=()) -> DurrmeyerPlan:
     """Build a plan whose inner rule integrates p_{n,k} * f * w exactly for
     polynomial f of the given degree (default n), with optional kink splits."""
-    n = int(n)
-    if n < 1:
-        raise ValueError("operator degree n must be >= 1")
+    n = _check_operator_args(cfg, n)
     fdeg = int(f_degree) if f_degree is not None else n
     target = n + fdeg + 8
     if cfg.d == 1:
         rule = interval_rule(cfg.alphas, target // 2 + 1, splits=tuple(splits))
     else:
-        if splits:
-            raise ValueError("kink splits are only supported for d = 1")
+        _no_kinks_on_triangle(splits)
         rule = simplex_rule_2d(cfg, target)
     indices = index_range(n, cfg.d)
     moments = np.exp(_log_moments(cfg, n, indices))
@@ -286,9 +293,7 @@ def _mu_factors(cfg, n, L):
 def apply_durrmeyer_spectral(cfg: WeightConfig, n,
                              coeffs: SpectralCoefficients) -> SpectralCoefficients:
     """Scale block ell by mu(n, ell); blocks above n vanish."""
-    n = int(n)
-    if n < 1:
-        raise ValueError("operator degree n must be >= 1")
+    n = _check_operator_args(cfg, n, coeffs)
     return coeffs.scaled(_mu_factors(cfg, n, coeffs.max_degree))
 
 
@@ -321,9 +326,7 @@ def diff_operator_1d(g):
 def apply_Q(cfg: WeightConfig, n, coeffs: SpectralCoefficients) -> SpectralCoefficients:
     """Multiplier operator: block ell scaled by nu(n, ell) for 1 <= ell <= n,
     zero outside that range."""
-    n = int(n)
-    if n < 1:
-        raise ValueError("operator degree n must be >= 1")
+    n = _check_operator_args(cfg, n, coeffs)
     L = coeffs.max_degree
     nu = multiplier_nu_all(cfg, n)
     factors = np.zeros(L + 1)
@@ -340,9 +343,7 @@ def build_g_n(cfg: WeightConfig, n, coeffs: SpectralCoefficients):
     (M_n f - M_{2n} f) / t_n blockwise.  The block factors are computed once
     per (cfg, n, band) and cached.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError("need n >= 1")
+    n = _check_operator_args(cfg, n, coeffs)
     factors, t_n = _g_n_factors(cfg, n, coeffs.max_degree)
     return coeffs.scaled(factors), t_n
 

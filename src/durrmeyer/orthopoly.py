@@ -6,10 +6,11 @@ acts on a coefficient vector by scalar factors per block.  Any orthonormal
 basis of each block works for that purpose.
 
 On [0,1] the basis comes from the classical three-term recurrence, whose
-coefficients for a Jacobi weight are known in closed form, so no quadrature
-rule is involved.  On the triangle we use a Koornwinder-style product
-basis; the inner factor is kept in homogenized form so evaluation has no
-division by 1 - x1.
+coefficients for a Jacobi weight are known in closed form.  On the triangle
+it is Koornwinder's product of two such interval families, one in x1 and
+one in x2 / (1 - x1); the inner factor is kept in homogenized form so
+evaluation has no division by 1 - x1.  No quadrature rule stands behind
+either basis.
 """
 
 from __future__ import annotations
@@ -229,16 +230,6 @@ class IntervalBasis:
         return ell
 
 
-def _jacobi_recurrence_terms(m, A, B):
-    """Coefficients of P_{m+1} = ((c2 + c3 u) P_m - c4 P_{m-1}) / c1, m >= 1."""
-    s = 2.0 * m + A + B
-    c1 = 2.0 * (m + 1.0) * (m + A + B + 1.0) * s
-    c2 = (s + 1.0) * (A * A - B * B)
-    c3 = s * (s + 1.0) * (s + 2.0)
-    c4 = 2.0 * (m + A) * (m + B) * (s + 2.0)
-    return c1, c2, c3, c4
-
-
 # Bytes of raw values per block of TriangleBasis.eval_all: the whole sup
 # grid's are 22 MB at band 24 and 38 MB at band 32.
 _EVAL_BLOCK_BYTES = 8_000_000
@@ -247,10 +238,13 @@ _EVAL_BLOCK_BYTES = 8_000_000
 class TriangleBasis:
     """Orthonormal total-degree basis on the triangle for d = 2 weights.
 
-    phi_{ell,j} is built as an outer Jacobi polynomial in x1 times a
-    homogenized Jacobi factor in (1-x1, x2) of degree j; the blocks are
-    mutually orthogonal by construction and normalization constants come
-    from an exact simplex rule.
+    phi_{ell,j}(x) = q_{ell-j}(x1) (1-x1)^j r_j(x2 / (1-x1)), with r the
+    orthonormal family of t^a2 (1-t)^a3 and q that of
+    x1^a1 (1-x1)^(2j+a2+a3+1) on [0, 1] (Koornwinder's basis, DLMF 18.37).
+    The substitution x2 = t (1-x1) splits every weighted inner product into
+    one integral per factor, so the basis is orthonormal by construction.
+    Both factors take the closed-form recurrence of IntervalBasis, and no
+    quadrature rule is involved.
     """
 
     def __init__(self, cfg: WeightConfig, L):
@@ -261,26 +255,18 @@ class TriangleBasis:
         self.size = (L + 1) * (L + 2) // 2
         a1, a2, a3 = cfg.alphas
         # Recurrence tables, which depend on the weight and the band only:
-        # scalars for the inner steps j = 1..L-1, and for the outer steps
-        # columns over the inner index j, whose parameter is
-        # A_j = 2j + a2 + a3 + 1; outer step m writes rows _rows[m, :L-m+1].
-        self._inner_first = (0.5 * (a3 + a2 + 2.0), 0.5 * (a3 - a2))
-        self._inner_terms = tuple(_jacobi_recurrence_terms(j, a3, a2)
-                                  for j in range(1, L))
+        # (a, sqrt b) of the inner family r, and for the outer step m rows
+        # [m, j] over the inner index j of the families q; outer step m
+        # writes rows _rows[m, :L-m+1].
+        rec_a, rec_b = _jacobi_recurrence(a2, a3, L)
+        self._inner = (rec_a, np.sqrt(rec_b))
+        outer = [_jacobi_recurrence(a1, 2.0 * j + a2 + a3 + 1.0, L) for j in range(L + 1)]
+        self._outer_a = np.stack([a for a, _ in outer], axis=1)
+        self._outer_sqb = np.sqrt(np.stack([b for _, b in outer], axis=1))
         j = np.arange(L + 1)
-        A = (2.0 * j[:L] + a2 + a3 + 1.0)[:, None]
-        self._outer_first = np.stack((0.5 * (A + a1 + 2.0), 0.5 * (A - a1)))
-        self._outer_terms = np.stack(
-            _jacobi_recurrence_terms(np.arange(1.0, L)[:, None, None], A, a1))
         self._rows = (j[:, None] + j) * (j[:, None] + j + 1) // 2 + j
-        for table in (self._outer_first, self._outer_terms, self._rows):
+        for table in (*self._inner, self._outer_a, self._outer_sqb, self._rows):
             table.flags.writeable = False
-        rule = simplex_rule_2d(cfg, 2 * L + 2)
-        raw = np.ascontiguousarray(self._eval_raw(rule.nodes).T)
-        norms = np.sqrt(np.einsum("q,qb,qb->b", rule.weights, raw, raw))
-        if not np.all(norms > 0.0):
-            raise ArithmeticError("nonpositive or NaN basis norm on the triangle")
-        self._inv_norms = 1.0 / norms
 
     def flat_index(self, ell, j):
         if not 0 <= ell <= self.L:
@@ -290,79 +276,73 @@ class TriangleBasis:
         return ell * (ell + 1) // 2 + j
 
     def _eval_raw(self, pts) -> np.ndarray:
-        """Unnormalized basis values, shape ((L+1)(L+2)/2, npoints), C order.
+        """Basis values, shape ((L+1)(L+2)/2, npoints), C order.
 
-        Row flat_index(ell, j) holds phi_{ell,j} before normalization.  The
-        outer recurrence advances one degree step m for every inner index j
-        at once, so each step writes whole contiguous rows.  The step
-        constants and destination rows come from the tables built in
-        __init__, and the steps reuse three (L, npoints) buffers through
-        out=.  Per value the float operations are those of a separate
-        recurrence for each j with its constants computed on the spot, in
-        the same order; only operands of + and * trade sides and products
-        with P_0 = 1 are left out, both exact, so the values keep their bits.
+        Row flat_index(ell, j) holds phi_{ell,j}.  The outer recurrence
+        advances one degree step m for every inner index j at once, so each
+        step writes whole contiguous rows.  The step constants and
+        destination rows come from the tables built in __init__, and the
+        steps reuse three (L+1, npoints) buffers through out=.  Per value
+        the float operations are those of IntervalBasis's column fill for
+        each j, in the same order (the first step also subtracts an exact
+        zero), so the values keep their bits.
         """
         pts = np.asarray(pts, dtype=float)
         x1, x2 = pts[:, 0], pts[:, 1]
         npts, L = x1.size, self.L
 
-        # homogenized inner factors R_j(s, y) = s^j P_j^{(a3,a2)}(2y/s - 1)
+        # homogenized inner factors R_k = s^k r_k(x2 / s), s = 1 - x1:
+        # R_{k+1} = ((x2 - a_k s) R_k - sqrt(b_k) s^2 R_{k-1}) / sqrt(b_{k+1})
         s = 1.0 - x1
-        v = 2.0 * x2 - s
         s2 = s * s
+        a, sqb = self._inner
         inner = np.empty((L + 1, npts))
-        inner[0] = 1.0
+        inner[0] = 1.0 / sqb[0]
         if L >= 1:
-            e1, e2 = self._inner_first
-            inner[1] = e1 * v + e2 * s
-        for j, (c1, c2, c3, c4) in enumerate(self._inner_terms, start=1):
-            inner[j + 1] = ((c2 * s + c3 * v) * inner[j] - c4 * s2 * inner[j - 1]) / c1
+            inner[1] = (x2 - a[0] * s) * inner[0] / sqb[1]
+        for k in range(1, L):
+            inner[k + 1] = ((x2 - a[k] * s) * inner[k] - sqb[k] * s2 * inner[k - 1]) / sqb[k + 1]
 
-        # outer factors P_m^{(A_j, a1)}(u), row j of p_cur for j = 0..L-m;
-        # P_0 = 1, so degree-0 rows are the inner factors themselves
+        # outer factors q_m(x1) of family j in row j of p_cur, j = 0..L-m;
+        # p_prev starts at zero, so step 0 gives (x1 - a_0) q_0 / sqrt(b_1)
+        a, sqb = self._outer_a, self._outer_sqb
         out = np.empty((self.size, npts))
-        out[self._rows[0]] = inner
-        if L == 0:
-            return out
-        u = 2.0 * x1 - 1.0
-        e1, e2 = self._outer_first
-        p_prev = np.ones((L, npts))
-        p_cur = e1 * u + e2
-        tmp = np.empty((L, npts))
-        for m in range(1, L):
+        p_prev = np.zeros((L + 1, npts))
+        p_cur = np.empty((L + 1, npts))
+        p_cur[:] = (1.0 / sqb[0])[:, None]
+        tmp = np.empty((L + 1, npts))
+        for m in range(L + 1):
             k = L - m + 1
             out[self._rows[m, :k]] = np.multiply(p_cur[:k], inner[:k], out=tmp[:k])
-            c1, c2, c3, c4 = self._outer_terms[:, m - 1, :k - 1]
-            # p_next = ((c2 + c3 u) p_cur - c4 p_prev) / c1, into p_prev's rows
-            c4p = np.multiply(c4, p_prev[:k - 1], out=tmp[:k - 1])
-            p_next = np.multiply(c3, u, out=p_prev[:k - 1])
-            p_next += c2
+            if m == L:
+                break
+            # p_next = ((x1 - a_m) p_cur - sqrt(b_m) p_prev) / sqrt(b_{m+1}),
+            # into p_prev's rows
+            c = np.multiply(sqb[m, :k - 1, None], p_prev[:k - 1], out=tmp[:k - 1])
+            p_next = np.subtract(x1, a[m, :k - 1, None], out=p_prev[:k - 1])
             p_next *= p_cur[:k - 1]
-            p_next -= c4p
-            p_next /= c1
+            p_next -= c
+            p_next /= sqb[m + 1, :k - 1, None]
             p_prev, p_cur = p_cur, p_next
-        out[self._rows[L, :1]] = p_cur[:1] * inner[:1]
         return out
 
     def eval_all(self, pts) -> np.ndarray:
         """Matrix of basis values, shape (npoints, (L+1)(L+2)/2), C order.
 
         The points are evaluated in blocks of at most _EVAL_BLOCK_BYTES of
-        raw values (three blocks for the sup grid at band 24).  The
-        transpose of each block's row-major raw values happens inside the
-        normalization multiply that writes the block of the output: every
-        value is the same product as in a column-by-column fill, and beside
+        raw values (three blocks for the sup grid at band 24), and each
+        block's transpose is written into its rows of the output: beside
         the output only one block of raw values is held, not a second full
         matrix.  Everything that depends on the basis alone (recurrence
-        constants, destination rows, inverse norms) is tabulated once per
-        basis, so a call does only arithmetic on its points.
+        constants, destination rows) is tabulated once per basis, so a call
+        does only arithmetic on its points.
         """
         pts = np.asarray(pts, dtype=float)
         out = np.empty((pts.shape[0], self.size))
         block = max(1, _EVAL_BLOCK_BYTES // (8 * self.size))
         for start in range(0, pts.shape[0], block):
             rows = slice(start, start + block)
-            np.multiply(self._eval_raw(pts[rows]).T, self._inv_norms, out=out[rows])
+            out[rows] = self._eval_raw(pts[rows]).T
         return out
 
 
@@ -417,6 +397,13 @@ def basis_eval(cfg: WeightConfig, ell, j, x):
     return _at_points(cfg, x, lambda pts: basis.eval_all(pts)[:, col])
 
 
+def _no_kinks_on_triangle(kinks):
+    """The simplex rules take no kink splits, so any kink on the triangle
+    raises."""
+    if kinks:
+        raise ValueError("kink splits are only supported for d = 1")
+
+
 def projection_rule(cfg: WeightConfig, L, f_degree=None, splits=()):
     """Quadrature rule adequate for projecting f onto degrees <= L.
 
@@ -427,6 +414,7 @@ def projection_rule(cfg: WeightConfig, L, f_degree=None, splits=()):
     need = int(L) + fdeg + 8
     if cfg.d == 1:
         return interval_rule(cfg.alphas, need, splits=tuple(splits))
+    _no_kinks_on_triangle(splits)
     return simplex_rule_2d(cfg, need)
 
 

@@ -165,6 +165,17 @@ def test_verify_direct_single_eigenfunction():
     assert row.lhs <= row.rhs
 
 
+def test_verify_direct_measures_at_the_band_of_run_direct():
+    cfg = WeightConfig(1, (0.0, 0.0))
+    f = next(tf for tf in get_suite("kink", cfg) if tf.f_id == "kink-pow15")
+    ps = (1, 2, math.inf)
+    suite_rows = [r for r in run_direct(cfg, ps, (128,), "kink").rows
+                  if r.f_id == "kink-pow15"]
+    rows = [verify_direct(cfg, f, p, 128).rows[0] for p in ps]
+    assert [[_bits(v) for v in dataclasses.astuple(r)] for r in rows] == \
+        [[_bits(v) for v in dataclasses.astuple(r)] for r in suite_rows]
+
+
 def test_structural_verifiers_small():
     assert verify_telescoping(n_max=6).passed
     assert verify_q_identity(n_max=8).passed

@@ -35,7 +35,7 @@ from durrmeyer import (
     simplex_rule_2d,
     synthesize,
 )
-from durrmeyer import operators
+from durrmeyer import k_lower, operators
 from durrmeyer.operators import _bernstein_matrix, _bernstein_sum
 from durrmeyer.quadrature import sup_grid
 
@@ -404,3 +404,31 @@ def test_validation_errors():
     plan = make_plan(FLAT, 3)
     with pytest.raises(ValueError):
         apply_durrmeyer(plan, lambda x: np.ones(3), 0.5)
+
+
+_DEGREE_CALLS = {
+    "make_plan": lambda cfg, n, c: make_plan(cfg, n).rule.weights,
+    "apply_durrmeyer_spectral": lambda cfg, n, c: apply_durrmeyer_spectral(cfg, n, c).flat(),
+    "apply_Q": lambda cfg, n, c: apply_Q(cfg, n, c).flat(),
+    "build_g_n": lambda cfg, n, c: build_g_n(cfg, n, c)[0].flat(),
+    "k_lower": lambda cfg, n, c: np.array([k_lower(cfg, c, n, 2)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DEGREE_CALLS))
+def test_operators_reject_a_fractional_degree_and_a_foreign_weight(name):
+    call = _DEGREE_CALLS[name]
+    flat = WeightConfig(1, (0.0, 0.0))
+    coeffs = SpectralCoefficients(flat, np.linspace(1.0, 0.1, 9))
+    with pytest.raises(ValueError, match="degree n must be a positive integer"):
+        call(flat, 2.5, coeffs)
+    # integral values of another type are the same degree
+    want = call(flat, 3, coeffs)
+    for n in (3.0, np.int64(3)):
+        assert np.array_equal(call(flat, n, coeffs), want)
+    if name != "make_plan":
+        # equal but not identical configs are the same weight
+        assert np.array_equal(call(WeightConfig(1, (0.0, 0.0)), 3, coeffs), want)
+        with pytest.raises(ValueError, match=r"coefficients on the weight \(0\.0, 0\.0\) "
+                                             r"given to an operator on \(0\.5, 1\.5\)"):
+            call(WeightConfig(1, (0.5, 1.5)), 4, coeffs)

@@ -19,6 +19,7 @@ from durrmeyer import (
     get_basis,
     interval_rule,
     lp_norm,
+    make_plan,
     orthopoly,
     partial_sum,
     project,
@@ -29,7 +30,7 @@ from durrmeyer import (
 )
 from durrmeyer import orthopoly
 from durrmeyer.orthopoly import TriangleBasis
-from durrmeyer.quadrature import ConstructionError, sup_grid_2d
+from durrmeyer.quadrature import sup_grid_2d
 
 FLAT = WeightConfig(1, (0.0, 0.0))
 
@@ -325,7 +326,7 @@ def test_triangle_basis_blocks_equal_one_pass_bitwise(monkeypatch):
     monkeypatch.setattr(orthopoly, "_EVAL_BLOCK_BYTES", 8 * basis.size * 100)
     pts = sup_grid_2d()[:207]
     got = basis.eval_all(pts)
-    want = np.multiply(basis._eval_raw(pts).T, basis._inv_norms, order="C")
+    want = basis._eval_raw(pts).T
     assert got.flags.c_contiguous
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -366,18 +367,17 @@ def test_interval_basis_equals_column_fill_bitwise(L, npts):
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
-def test_triangle_basis_near_minus_one():
-    with pytest.raises(ConstructionError, match=r"\(a, b, m\)"):
-        TriangleBasis(WeightConfig(2, (-1.0 + 1e-12, 0.5, 0.5)), 40)
-    basis = TriangleBasis(WeightConfig(2, (-1.0 + 1e-10, 0.5, 0.5)), 40)
-    assert np.all(np.isfinite(basis._inv_norms)) and np.all(basis._inv_norms > 0.0)
+def test_kinks_on_the_triangle_raise_in_projection():
+    cfg = WeightConfig(2, (0.0, 0.0, 0.0))
 
-
-def test_triangle_basis_rejects_nan_norms(monkeypatch):
-    monkeypatch.setattr(TriangleBasis, "_eval_raw",
-                        lambda self, pts: np.full((self.size, len(pts)), np.nan))
-    with pytest.raises(ArithmeticError, match="NaN basis norm"):
-        TriangleBasis(WeightConfig(2, (0.0, 0.0, 0.0)), 3)
+    def kinked(pts):
+        return np.abs(pts[:, 0] - 0.3)
+    kinked.kinks = (0.3,)
+    for call in (lambda: projection_rule(cfg, 6, splits=(0.3,)),
+                 lambda: project(kinked, cfg, 6),
+                 lambda: make_plan(cfg, 4, splits=(0.3,))):
+        with pytest.raises(ValueError, match="kink splits are only supported for d = 1"):
+            call()
 
 
 @pytest.mark.parametrize("cfg", [FLAT, WeightConfig(2, (0.0, 0.0, 0.0))])
@@ -418,3 +418,57 @@ def test_interval_basis_matches_mpmath_jacobi(alphas, L):
         want = _jacobi_orthonormal_mpmath(alphas, n, _MPMATH_XS)
         err = np.max(np.abs(values[:, n] - want)) / np.max(np.abs(want))
         assert err <= 2e-11, (alphas, L, n, err)
+
+
+# triangle points: the three vertices, edge points and interior points,
+# none of whose x1 or x2 / (1 - x1) is 0.5 (a zero of the odd polynomials of
+# a symmetric family)
+_TRIANGLE_XS = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.0123, 0.0), (0.0, 0.4621),
+                (0.6789, 0.3211), (0.137, 0.31416), (0.31416, 0.6), (0.8534, 0.0123),
+                (0.4621, 0.2))
+
+
+def _koornwinder_mpmath(alphas, ell, j, pts):
+    """phi_{ell,j} = q_{ell-j}(x1) (1-x1)^j r_j(x2 / (1-x1)) from mpmath's
+    orthonormal interval families; at x1 = 1 (where x2 = 0) the middle
+    factor times r_j is its limit, r_0 for j = 0 and 0 above."""
+    a1, a2, a3 = alphas
+    out = []
+    for x1, x2 in pts:
+        s = 1.0 - x1
+        if s == 0.0:
+            inner = _jacobi_orthonormal_mpmath((a2, a3), 0, [0.0])[0] if j == 0 else 0.0
+        else:
+            inner = s ** j * _jacobi_orthonormal_mpmath((a2, a3), j, [x2 / s])[0]
+        outer = _jacobi_orthonormal_mpmath((a1, 2 * j + a2 + a3 + 1), ell - j, [x1])[0]
+        out.append(outer * inner)
+    return np.array(out)
+
+
+def _koornwinder_error(alphas, L):
+    """Largest error of the band-L triangle basis against mpmath, each
+    phi_{ell,j} relative to its largest |value| on _TRIANGLE_XS, over
+    degrees 1, 2, L/4, L/2, 3L/4, L and j in {0, 1, ell/2, ell}."""
+    basis = TriangleBasis(WeightConfig(2, alphas), L)
+    values = basis.eval_all(np.array(_TRIANGLE_XS))
+    worst = 0.0
+    for ell in (1, 2, L // 4, L // 2, 3 * L // 4, L):
+        for j in {0, 1, ell // 2, ell}:
+            want = _koornwinder_mpmath(alphas, ell, j, _TRIANGLE_XS)
+            got = values[:, basis.flat_index(ell, j)]
+            worst = max(worst, np.max(np.abs(got - want)) / np.max(np.abs(want)))
+    return worst
+
+
+@pytest.mark.parametrize("alphas", [(0.0, 0.0, 0.0), (0.5, -0.5, 1.0), (-0.9, 2.0, 0.5),
+                                    (3.0, -0.95, 0.0)])
+def test_triangle_basis_matches_mpmath_koornwinder(alphas):
+    err = _koornwinder_error(alphas, 40)
+    assert err <= 1e-12, (alphas, err)
+
+
+def test_triangle_basis_near_minus_one():
+    # no rule stands behind the basis, so an exponent within 1e-12 of -1
+    # builds and keeps its accuracy
+    err = _koornwinder_error((-1.0 + 1e-12, 0.5, 0.5), 40)
+    assert err <= 1e-12, err

@@ -24,8 +24,8 @@ from durrmeyer import (NormContext, SpectralCoefficients, WeightConfig, cesaro_f
 from durrmeyer.operators import (_bernstein_matrix, _bernstein_sum, _g_n_factors,
                                  _log_multinomial, _mu_factors, apply_P_spectral,
                                  index_range)
-from durrmeyer.orthopoly import TriangleBasis, _jacobi_recurrence_terms, block_size
-from durrmeyer.quadrature import _gauss_jacobi_rule, gauss_jacobi_rule, simplex_rule_2d
+from durrmeyer.orthopoly import IntervalBasis, TriangleBasis, _jacobi_recurrence, block_size
+from durrmeyer.quadrature import _gauss_jacobi_rule, gauss_jacobi_rule
 from durrmeyer.specfun import gamma_ratio_log
 from durrmeyer.spectrum import config_for_rho, log_mu_all
 
@@ -485,38 +485,29 @@ def test_bernstein_sum_at_degree_4096():
     assert np.max(np.abs(got - a @ matrix)) <= SUM_TOL * (n + 1) * np.max(np.abs(a))
 
 
-def _triangle_raw_per_j(cfg, L, pts):
-    """Unnormalized triangle basis, shape (npts, size), one outer recurrence
-    per inner index j written column by column: the reference for the
-    all-j row-major evaluation."""
+def _triangle_per_j(cfg, L, pts):
+    """Triangle basis, shape (npts, size), with the outer factors of each
+    inner index j from their own IntervalBasis (column-by-column fill): the
+    reference for the all-j row-major evaluation."""
     x1, x2 = pts[:, 0], pts[:, 1]
     a1, a2, a3 = cfg.alphas
     npts = x1.size
     s = 1.0 - x1
-    v = 2.0 * x2 - s
+    s2 = s * s
+    a, b = _jacobi_recurrence(a2, a3, L)
+    sqb = np.sqrt(b)
     inner = np.empty((L + 1, npts))
-    inner[0] = 1.0
+    inner[0] = 1.0 / sqb[0]
     if L >= 1:
-        inner[1] = 0.5 * (a3 + a2 + 2.0) * v + 0.5 * (a3 - a2) * s
-    for j in range(1, L):
-        c1, c2, c3, c4 = _jacobi_recurrence_terms(j, a3, a2)
-        inner[j + 1] = ((c2 * s + c3 * v) * inner[j]
-                        - c4 * (s * s) * inner[j - 1]) / c1
-    u = 2.0 * x1 - 1.0
+        inner[1] = (x2 - a[0] * s) * inner[0] / sqb[1]
+    for k in range(1, L):
+        inner[k + 1] = ((x2 - a[k] * s) * inner[k] - sqb[k] * s2 * inner[k - 1]) / sqb[k + 1]
     out = np.empty((npts, (L + 1) * (L + 2) // 2))
     for j in range(L + 1):
-        A = 2.0 * j + a2 + a3 + 1.0
-        B = a1
-        p_prev = np.zeros(npts)
-        p_cur = np.ones(npts)
+        outer = IntervalBasis(WeightConfig(1, (a1, 2.0 * j + a2 + a3 + 1.0)), L - j)
+        q = outer.eval_all(x1)
         for m in range(L - j + 1):
-            out[:, (j + m) * (j + m + 1) // 2 + j] = p_cur * inner[j]
-            if m == 0:
-                p_next = (0.5 * (A + B + 2.0) * u + 0.5 * (A - B)) * p_cur
-            else:
-                c1, c2, c3, c4 = _jacobi_recurrence_terms(m, A, B)
-                p_next = ((c2 + c3 * u) * p_cur - c4 * p_prev) / c1
-            p_prev, p_cur = p_cur, p_next
+            out[:, (j + m) * (j + m + 1) // 2 + j] = q[:, m] * inner[j]
     return out
 
 
@@ -535,15 +526,10 @@ def _same_bits(a, b):
 def test_triangle_basis_equals_per_j_reference_bitwise(alphas, L, extra):
     cfg = WeightConfig(2, alphas)
     basis = TriangleBasis(cfg, L)
-    rule = simplex_rule_2d(cfg, 2 * L + 2)
-    raw = _triangle_raw_per_j(cfg, L, rule.nodes)
-    norms = np.sqrt(np.einsum("q,qb,qb->b", rule.weights, raw, raw))
-    assert _same_bits(basis._inv_norms, 1.0 / norms)
-
     pts = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.5, 0.5)] + extra)
     got = basis.eval_all(pts)
     assert got.flags.c_contiguous
-    assert _same_bits(got, _triangle_raw_per_j(cfg, L, pts) * basis._inv_norms)
+    assert _same_bits(got, _triangle_per_j(cfg, L, pts))
 
 
 @PROPERTY
