@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .orthopoly import SpectralCoefficients, _no_kinks_on_triangle, _point_matrix
+from .orthopoly import (SpectralCoefficients, _no_kinks_on_triangle, _point_matrix,
+                        _require_finite_points)
 from .quadrature import QuadratureRule, interval_rule, simplex_rule_2d
 from .specfun import gamma_ratio_log, log_gamma
 from .spectrum import WeightConfig, _check_n, eigenvalue_mu_all, multiplier_nu_all
@@ -66,10 +67,7 @@ def _barycentric(pts):
     """Barycentric coordinates (x_1, ..., x_d, 1 - |x|) of an (npts, d)
     point array.  Non-finite points and points outside the closed domain by
     more than 1e-12 raise; the slack absorbs rounding at the boundary."""
-    bad = ~np.isfinite(pts).all(axis=1)
-    if bad.any():
-        raise ValueError("non-finite evaluation point %s at row %d"
-                         % (pts[bad][0].tolist(), int(np.argmax(bad))))
+    _require_finite_points(pts)
     barycentric = np.column_stack([pts, 1.0 - pts.sum(axis=1)])
     if np.any(barycentric < -1e-12):
         raise ValueError("evaluation point outside the closed domain")

@@ -230,11 +230,6 @@ class IntervalBasis:
         return ell
 
 
-# Bytes of raw values per block of TriangleBasis.eval_all: the whole sup
-# grid's are 22 MB at band 24 and 38 MB at band 32.
-_EVAL_BLOCK_BYTES = 8_000_000
-
-
 class TriangleBasis:
     """Orthonormal total-degree basis on the triangle for d = 2 weights.
 
@@ -278,14 +273,14 @@ class TriangleBasis:
     def _eval_raw(self, pts) -> np.ndarray:
         """Basis values, shape ((L+1)(L+2)/2, npoints), C order.
 
-        Row flat_index(ell, j) holds phi_{ell,j}.  The outer recurrence
-        advances one degree step m for every inner index j at once, so each
-        step writes whole contiguous rows.  The step constants and
-        destination rows come from the tables built in __init__, and the
-        steps reuse three (L+1, npoints) buffers through out=.  Per value
-        the float operations are those of IntervalBasis's column fill for
-        each j, in the same order (the first step also subtracts an exact
-        zero), so the values keep their bits.
+        Row flat_index(ell, j) holds phi_{ell,j} = q_{ell-j}(x1) R_j.  The
+        outer recurrence runs once per distinct x1 (on the points themselves
+        when none repeats), one degree step m for every inner index j at
+        once, into rows of a table that one gather spreads to the points;
+        each degree's rows are then multiplied in place by R_0..R_ell.  Per
+        value the float operations are those of IntervalBasis's column fill
+        for each j, in the same order (the first step also subtracts an
+        exact zero), then one product q R, so the values keep their bits.
         """
         pts = np.asarray(pts, dtype=float)
         x1, x2 = pts[:, 0], pts[:, 1]
@@ -305,45 +300,41 @@ class TriangleBasis:
 
         # outer factors q_m(x1) of family j in row j of p_cur, j = 0..L-m;
         # p_prev starts at zero, so step 0 gives (x1 - a_0) q_0 / sqrt(b_1)
+        xs, inv = np.unique(x1, return_inverse=True)
+        xs = x1 if xs.size == npts else xs
         a, sqb = self._outer_a, self._outer_sqb
-        out = np.empty((self.size, npts))
-        p_prev = np.zeros((L + 1, npts))
-        p_cur = np.empty((L + 1, npts))
+        table = np.empty((self.size, xs.size))
+        p_prev = np.zeros((L + 1, xs.size))
+        p_cur = np.empty((L + 1, xs.size))
         p_cur[:] = (1.0 / sqb[0])[:, None]
-        tmp = np.empty((L + 1, npts))
+        tmp = np.empty((L + 1, xs.size))
         for m in range(L + 1):
             k = L - m + 1
-            out[self._rows[m, :k]] = np.multiply(p_cur[:k], inner[:k], out=tmp[:k])
+            table[self._rows[m, :k]] = p_cur[:k]
             if m == L:
                 break
             # p_next = ((x1 - a_m) p_cur - sqrt(b_m) p_prev) / sqrt(b_{m+1}),
             # into p_prev's rows
             c = np.multiply(sqb[m, :k - 1, None], p_prev[:k - 1], out=tmp[:k - 1])
-            p_next = np.subtract(x1, a[m, :k - 1, None], out=p_prev[:k - 1])
+            p_next = np.subtract(xs, a[m, :k - 1, None], out=p_prev[:k - 1])
             p_next *= p_cur[:k - 1]
             p_next -= c
             p_next /= sqb[m + 1, :k - 1, None]
             p_prev, p_cur = p_cur, p_next
+        out = table if xs is x1 else np.take(table, inv, axis=1)
+        for ell in range(L + 1):
+            out[ell * (ell + 1) // 2:][:ell + 1] *= inner[:ell + 1]
         return out
 
     def eval_all(self, pts) -> np.ndarray:
-        """Matrix of basis values, shape (npoints, (L+1)(L+2)/2), C order.
-
-        The points are evaluated in blocks of at most _EVAL_BLOCK_BYTES of
-        raw values (three blocks for the sup grid at band 24), and each
-        block's transpose is written into its rows of the output: beside
-        the output only one block of raw values is held, not a second full
-        matrix.  Everything that depends on the basis alone (recurrence
-        constants, destination rows) is tabulated once per basis, so a call
-        does only arithmetic on its points.
+        """Matrix of basis values, shape (npoints, (L+1)(L+2)/2), Fortran
+        order: the transpose of _eval_raw's rows, a view with no copy, so
+        each basis function's values are one contiguous column.
+        Everything that depends on the basis alone (recurrence constants,
+        destination rows) is tabulated once per basis, so a call does only
+        arithmetic on its points.
         """
-        pts = np.asarray(pts, dtype=float)
-        out = np.empty((pts.shape[0], self.size))
-        block = max(1, _EVAL_BLOCK_BYTES // (8 * self.size))
-        for start in range(0, pts.shape[0], block):
-            rows = slice(start, start + block)
-            out[rows] = self._eval_raw(pts[rows]).T
-        return out
+        return self._eval_raw(pts).T
 
 
 def get_basis(cfg: WeightConfig, L):
@@ -364,19 +355,28 @@ def _point_matrix(d, x):
 
     On the interval a point is a scalar and an array of points is 1-D; on
     the triangle a point is one (x1, x2) pair and an array of points has
-    shape (npts, 2).  Any other shape raises a ValueError."""
+    shape (npts, 2).  Any other shape, and any non-finite point, raises a
+    ValueError."""
     arr = np.asarray(x, dtype=float)
-    if d == 1:
-        if arr.ndim > 1:
-            raise ValueError("d = 1 points must be a scalar or a 1-D array, "
-                             "got shape %s" % (arr.shape,))
-        return arr.reshape(-1, 1), arr.ndim == 0
-    if arr.shape == (2,):
-        return arr.reshape(1, 2), True
-    if arr.ndim != 2 or arr.shape[1] != 2:
+    single = arr.ndim == 0 if d == 1 else arr.shape == (2,)
+    if d == 1 and arr.ndim > 1:
+        raise ValueError("d = 1 points must be a scalar or a 1-D array, "
+                         "got shape %s" % (arr.shape,))
+    if d == 2 and not single and (arr.ndim != 2 or arr.shape[1] != 2):
         raise ValueError("d = 2 points must be one (x1, x2) pair or an array "
                          "of shape (npts, 2), got shape %s" % (arr.shape,))
-    return arr, False
+    pts = arr.reshape(-1, d)
+    _require_finite_points(pts)
+    return pts, single
+
+
+def _require_finite_points(pts):
+    """Raise a ValueError naming the first non-finite row of a point array."""
+    bad = ~np.isfinite(pts).all(axis=1)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise ValueError("non-finite evaluation point %s at row %d"
+                         % (pts[row].tolist(), row))
 
 
 def _at_points(cfg: WeightConfig, x, values):

@@ -7,6 +7,8 @@ quadrature identities (Gram matrix, Parseval) and exact linear-algebra facts
 (truncation, Cesaro damping).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -320,15 +322,33 @@ def test_basis_cache_keeps_the_most_recently_used():
     cache.cache_clear()
 
 
-def test_triangle_basis_blocks_equal_one_pass_bitwise(monkeypatch):
-    basis = TriangleBasis(WeightConfig(2, (0.5, -0.5, 1.0)), 12)
-    # blocks of 100 points: two full blocks and a partial last one
-    monkeypatch.setattr(orthopoly, "_EVAL_BLOCK_BYTES", 8 * basis.size * 100)
-    pts = sup_grid_2d()[:207]
-    got = basis.eval_all(pts)
-    want = basis._eval_raw(pts).T
-    assert got.flags.c_contiguous
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+def test_triangle_basis_on_the_sup_grid_allocates_little_beside_its_output():
+    basis, pts = TriangleBasis(WeightConfig(2, (0.5, -0.5, 1.0)), 24), sup_grid_2d()
+    tracemalloc.start()
+    try:
+        got = basis.eval_all(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.base is not None and got.base.flags.c_contiguous
+    assert peak <= 1.25 * got.nbytes
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_evaluation_points_raise_naming_them(bad):
+    coeffs = project(lambda x: x ** 2, FLAT, 8)
+    for call in (lambda: synthesize(coeffs, [0.5, bad]),
+                 lambda: basis_eval(FLAT, 3, 0, [0.5, bad])):
+        with pytest.raises(ValueError, match=r"^non-finite evaluation point \[%s\] at row 1$" % bad):
+            call()
+    with pytest.raises(ValueError, match=r"^non-finite evaluation point \[%s\] at row 0$" % bad):
+        basis_eval(FLAT, 3, 0, bad)
+    tri = project(lambda p: p[:, 0] * p[:, 1], WeightConfig(2, (0.0, 0.0, 0.0)), 4)
+    pts = np.array([(0.2, 0.3), (0.1, 0.1), (bad, 0.2)])
+    with pytest.raises(ValueError, match=r"^non-finite evaluation point \[%s, 0.2\] at row 2$" % bad):
+        synthesize(tri, pts)
+    with pytest.raises(ValueError, match=r"^non-finite evaluation point \[0.5, %s\] at row 0$" % bad):
+        basis_eval(tri.cfg, 2, 1, (0.5, bad))
 
 
 @pytest.mark.parametrize("cfg, L", [(WeightConfig(2, (0.5, -0.5, 1.0)), 0),

@@ -25,7 +25,7 @@ from durrmeyer.operators import (_bernstein_matrix, _bernstein_sum, _g_n_factors
                                  _log_multinomial, _mu_factors, apply_P_spectral,
                                  index_range)
 from durrmeyer.orthopoly import IntervalBasis, TriangleBasis, _jacobi_recurrence, block_size
-from durrmeyer.quadrature import _gauss_jacobi_rule, gauss_jacobi_rule
+from durrmeyer.quadrature import _gauss_jacobi_rule, gauss_jacobi_rule, simplex_rule_2d, sup_grid_2d
 from durrmeyer.specfun import gamma_ratio_log
 from durrmeyer.spectrum import config_for_rho, log_mu_all
 
@@ -528,7 +528,35 @@ def test_triangle_basis_equals_per_j_reference_bitwise(alphas, L, extra):
     basis = TriangleBasis(cfg, L)
     pts = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.5, 0.5)] + extra)
     got = basis.eval_all(pts)
-    assert got.flags.c_contiguous
+    assert got.flags.f_contiguous
+    assert _same_bits(got, _triangle_per_j(cfg, L, pts))
+
+
+def _random_triangle_points(n, seed):
+    rng = np.random.default_rng(seed)
+    x1 = rng.uniform(0.0, 1.0, n)
+    return np.column_stack([x1, rng.uniform(0.0, 1.0, n) * (1.0 - x1)])
+
+
+_SHARED_X1 = np.array([(0.25, 0.0), (0.25, 0.5), (1.0, 0.0), (0.0, 0.3), (-0.0, 0.2),
+                       (0.25, 0.75), (0.0, 1.0), (-0.0, 0.0), (0.5, 0.5), (1.0, 0.0)])
+
+
+# tensor sets (distinct x1 shared by many points) take the gather, sets
+# with no repeated x1 the direct path; -0.0 and 0.0 count as one x1
+@pytest.mark.parametrize("pts, L, repeats", [
+    (simplex_rule_2d(WeightConfig(2, (0.5, -0.5, 1.0)), 56).nodes, 24, True),
+    (sup_grid_2d(), 12, True),
+    (_random_triangle_points(500, 500), 12, False),
+    (_SHARED_X1, 12, True),
+    (np.array([(0.2, 0.3)]), 12, False),
+    (np.empty((0, 2)), 12, False),
+], ids=["rule-nodes", "sup-grid", "random", "shared-x1", "single", "empty"])
+def test_triangle_basis_on_point_sets_equals_per_j_reference_bitwise(pts, L, repeats):
+    assert (np.unique(pts[:, 0]).size < pts.shape[0]) == repeats
+    cfg = WeightConfig(2, (-0.75, 2.0, 0.5))
+    got = TriangleBasis(cfg, L).eval_all(pts)
+    assert got.flags.f_contiguous
     assert _same_bits(got, _triangle_per_j(cfg, L, pts))
 
 
