@@ -150,8 +150,14 @@ def k_exact_p2(cfg: WeightConfig, f: SpectralCoefficients, t, tail_norm=0.0):
     return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
 
 
+def _kink_tuple(kinks):
+    """Kinks from any sequence or 1-D array, as a sorted tuple of floats."""
+    return tuple(sorted(float(c) for c in kinks))
+
+
 def sup_points(cfg: WeightConfig, kinks=()):
     """Dense max-norm grid, refined near any interior kink locations."""
+    kinks = _kink_tuple(kinks)
     if cfg.d == 2:
         _no_kinks_on_triangle(kinks)
         return sup_grid_2d()
@@ -191,7 +197,8 @@ _SUP_MATRICES = weakref.WeakValueDictionary()
 
 def sup_matrix(cfg: WeightConfig, L, kinks=()):
     """Read-only band-L basis values on sup_points(cfg, kinks)."""
-    key = (cfg, int(L), tuple(kinks))
+    kinks = _kink_tuple(kinks)
+    key = (cfg, int(L), kinks)
     mat = _SUP_MATRICES.get(key)
     if mat is None:
         mat = get_basis(cfg, L).eval_all(sup_points(cfg, kinks))
@@ -247,11 +254,6 @@ class NormContext:
         if self._f_fn is not None:
             return np.asarray(self._f_fn(self.grid), dtype=float)
         return self.mat_grid @ self.coeffs.flat()
-
-    def norm_f(self, p):
-        if p == math.inf:
-            return float(np.max(np.abs(self.f_grid)))
-        return lp_norm(self.f_rule, self.rule, p)
 
     def norm_diff(self, g: SpectralCoefficients, p):
         """||f - g||_p for band-limited g."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .orthopoly import (SpectralCoefficients, _no_kinks_on_triangle, _point_matrix,
-                        _require_finite_points)
+                        _require_in_domain)
 from .quadrature import QuadratureRule, interval_rule, simplex_rule_2d
 from .specfun import gamma_ratio_log, log_gamma
 from .spectrum import WeightConfig, _check_n, eigenvalue_mu_all, multiplier_nu_all
@@ -63,17 +63,6 @@ def _log_multinomial(n, ks):
     return out
 
 
-def _barycentric(pts):
-    """Barycentric coordinates (x_1, ..., x_d, 1 - |x|) of an (npts, d)
-    point array.  Non-finite points and points outside the closed domain by
-    more than 1e-12 raise; the slack absorbs rounding at the boundary."""
-    _require_finite_points(pts)
-    barycentric = np.column_stack([pts, 1.0 - pts.sum(axis=1)])
-    if np.any(barycentric < -1e-12):
-        raise ValueError("evaluation point outside the closed domain")
-    return barycentric
-
-
 def _bernstein_matrix(n, indices, pts):
     """Values of every p_{n,k} at every point, shape (nidx, npts).
 
@@ -88,7 +77,8 @@ def _bernstein_matrix(n, indices, pts):
     the tests keep as the reference; no array of that size is allocated.
     """
     ks = np.asarray(indices, dtype=float)
-    barycentric = _barycentric(pts)
+    _require_in_domain(pts)
+    barycentric = np.column_stack([pts, 1.0 - pts.sum(axis=1)])
     exponents = np.column_stack([ks, n - ks.sum(axis=1)])
     out = np.zeros((ks.shape[0], pts.shape[0]))
     term = np.empty_like(out)
@@ -177,7 +167,7 @@ def _bernstein_sum(n, a, pts):
     (u = 0 where x1 = 1): one inner sum per contiguous block k1 of the
     indices, then an outer sum in x1 whose coefficients vary by point.
     """
-    _barycentric(pts)
+    _require_in_domain(pts)
     x1 = np.clip(pts[:, 0], 0.0, 1.0)
     if pts.shape[1] == 1:
         return _mode_anchored_sum(n, a, x1)

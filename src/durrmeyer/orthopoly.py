@@ -202,25 +202,25 @@ class IntervalBasis:
         self.size = self.L + 1
 
     def eval_all(self, x) -> np.ndarray:
-        """Matrix of basis values, shape (npoints, L+1), C order.
-
-        The recurrence carries the last two degrees as contiguous vectors
-        and writes each new degree into its strided column once, never
-        reading a column back: the values are those of a column-by-column
-        fill, and beside the output only three vectors are held.
+        """Matrix of basis values, shape (npoints, L+1), Fortran order: the
+        transpose of a C-order (L+1, npoints) array filled one degree row at
+        a time, a view with no copy, so every leading block of columns is
+        contiguous.  Each row is ((x - a_k) p_k - sqrt(b_k) p_{k-1})
+        / sqrt(b_{k+1}), computed in place in that order, so the values
+        keep their bits; beside the output one vector is held.
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty((x.size, self.L + 1))
+        rows = np.empty((self.L + 1, x.size))
         a, sqb = self._rec_a, self._rec_sqb
-        prev = np.full(x.size, 1.0 / sqb[0])
-        out[:, 0] = prev
-        if self.L >= 1:
-            cur = (x - a[0]) * prev / sqb[1]
-            out[:, 1] = cur
-        for k in range(1, self.L):
-            prev, cur = cur, ((x - a[k]) * cur - sqb[k] * prev) / sqb[k + 1]
-            out[:, k + 1] = cur
-        return out
+        rows[0] = 1.0 / sqb[0]
+        term = np.zeros(x.size)  # sqrt(b_k) p_{k-1}, an exact zero at k = 0
+        for k in range(self.L):
+            row = np.subtract(x, a[k], out=rows[k + 1])
+            row *= rows[k]
+            row -= term
+            row /= sqb[k + 1]
+            np.multiply(sqb[k + 1], rows[k], out=term)
+        return rows.T
 
     def flat_index(self, ell, j):
         if not 0 <= ell <= self.L:
@@ -355,8 +355,8 @@ def _point_matrix(d, x):
 
     On the interval a point is a scalar and an array of points is 1-D; on
     the triangle a point is one (x1, x2) pair and an array of points has
-    shape (npts, 2).  Any other shape, and any non-finite point, raises a
-    ValueError."""
+    shape (npts, 2).  Any other shape, and any point that _require_in_domain
+    rejects, raises a ValueError."""
     arr = np.asarray(x, dtype=float)
     single = arr.ndim == 0 if d == 1 else arr.shape == (2,)
     if d == 1 and arr.ndim > 1:
@@ -366,17 +366,22 @@ def _point_matrix(d, x):
         raise ValueError("d = 2 points must be one (x1, x2) pair or an array "
                          "of shape (npts, 2), got shape %s" % (arr.shape,))
     pts = arr.reshape(-1, d)
-    _require_finite_points(pts)
+    _require_in_domain(pts)
     return pts, single
 
 
-def _require_finite_points(pts):
-    """Raise a ValueError naming the first non-finite row of a point array."""
+def _require_in_domain(pts):
+    """Raise a ValueError naming the first row of an (npts, d) point array
+    that is not finite, or else the first that lies more than 1e-12 outside
+    the closed domain; the slack absorbs rounding at the boundary."""
     bad = ~np.isfinite(pts).all(axis=1)
+    what = "non-finite evaluation point %s at row %d"
+    if not bad.any():
+        bad = (pts < -1e-12).any(axis=1) | (1.0 - pts.sum(axis=1) < -1e-12)
+        what = "evaluation point %s at row %d is outside the closed domain"
     if bad.any():
         row = int(np.argmax(bad))
-        raise ValueError("non-finite evaluation point %s at row %d"
-                         % (pts[row].tolist(), row))
+        raise ValueError(what % (pts[row].tolist(), row))
 
 
 def _at_points(cfg: WeightConfig, x, values):

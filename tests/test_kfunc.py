@@ -38,6 +38,14 @@ from durrmeyer.suite import get_suite
 FLAT = WeightConfig(1, (0.0, 0.0))
 
 
+def _norm_f(ctx, p):
+    """||f||_p from a context's f-values: the max over its sup grid at
+    p = inf, the rule norm otherwise."""
+    if p == math.inf:
+        return float(np.max(np.abs(ctx.f_grid)))
+    return lp_norm(ctx.f_rule, ctx.rule, p)
+
+
 def unit_eigen(cfg, ell, L=None):
     L = ell if L is None else L
     flat = np.zeros(L + 1)
@@ -138,7 +146,7 @@ def test_upper_at_infinite_t_is_finite_for_p1_and_sup():
     f = SpectralCoefficients.from_flat(FLAT, [1.0, 0.5, 0.25, 0.1])
     ctx = NormContext(FLAT, f)
     for p in (1.0, math.inf):
-        assert k_upper_detail(FLAT, f, math.inf, p, ctx=ctx) == (ctx.norm_f(p), "zero")
+        assert k_upper_detail(FLAT, f, math.inf, p, ctx=ctx) == (_norm_f(ctx, p), "zero")
 
 
 def test_non_finite_coefficients_raise_before_any_k_value():
@@ -154,7 +162,7 @@ def test_upper_bounded_by_norm():
     f = SpectralCoefficients.from_flat(FLAT, rng.uniform(-1.0, 1.0, 9))
     ctx = NormContext(FLAT, f)
     for p in (1.0, 2.0, math.inf):
-        norm = ctx.norm_f(p)
+        norm = _norm_f(ctx, p)
         for t in (0.01, 0.1, 1.0, 10.0):
             assert k_upper(FLAT, f, t, p, ctx=ctx) <= norm * (1.0 + 1e-12), (p, t)
 
@@ -278,7 +286,7 @@ def test_norm_context_builds_matrices_on_first_use_at_p_not_2(cfg, with_fn, monk
                        float(np.max(np.abs(g_grid))))}
     del calls[:]
     for p in (math.inf, 1):
-        assert (ctx.norm_f(p), ctx.norm_diff(g, p), ctx.norm_band(g, p)) == want[p]
+        assert (_norm_f(ctx, p), ctx.norm_diff(g, p), ctx.norm_band(g, p)) == want[p]
     # one synthesis per point set, on first use only
     assert sorted(calls) == sorted([len(ctx.rule.nodes), len(ctx.grid)])
 
@@ -313,6 +321,23 @@ def test_sup_grid_matrix_is_shared_while_held_and_freed_with_the_last(monkeypatc
     del calls[:]
     assert estimate_operator_norm("cesaro", math.inf, n, cfg=cfg) == shared
     assert calls.count(grid_size) == 1
+
+
+def test_sup_matrix_leading_blocks_are_contiguous_columns():
+    # leading_product hands mat[:, :k] to BLAS with no copy
+    mat = kfunc.sup_matrix(WeightConfig(1, (0.5, -0.5)), 256, (0.43,))
+    for k in (1, 3, 129, 257):
+        assert mat[:, :k].flags.f_contiguous, k
+
+
+def test_sup_grid_kinks_are_a_sorted_tuple_of_floats():
+    cfg = WeightConfig(1, (0.25, 0.75))
+    grid = kfunc.sup_points(cfg, np.array([0.5, 0.3]))
+    assert np.array_equal(grid, kfunc.sup_points(cfg, (0.3, 0.5)))
+    mat = kfunc.sup_matrix(cfg, 8, (0.5, 0.3))
+    assert kfunc.sup_matrix(cfg, 8, (0.3, 0.5)) is mat
+    assert kfunc.sup_matrix(cfg, 8, np.array([0.3, 0.5])) is mat
+    assert mat.shape == (grid.size, 9)
 
 
 def test_kinks_on_the_triangle_raise_and_cache_nothing():

@@ -27,6 +27,7 @@ from durrmeyer import (
     project,
     projection_rule,
     simplex_rule_2d,
+    sup_points,
     synthesize,
     weight_mass,
 )
@@ -334,6 +335,42 @@ def test_triangle_basis_on_the_sup_grid_allocates_little_beside_its_output():
     assert peak <= 1.25 * got.nbytes
 
 
+def test_interval_basis_on_the_sup_grid_allocates_little_beside_its_output():
+    cfg = WeightConfig(1, (0.5, -0.5))
+    basis, pts = get_basis(cfg, 256), sup_points(cfg, (0.43,))
+    tracemalloc.start()
+    try:
+        got = basis.eval_all(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.base is not None and got.base.flags.c_contiguous
+    assert peak <= 1.25 * got.nbytes
+
+
+def test_evaluation_points_outside_the_domain_raise_naming_them():
+    # the 1e-12 slack of the Bernstein kernels, which absorbs rounding at
+    # the boundary; the basis would extrapolate beyond it
+    coeffs = project(lambda x: x ** 2, FLAT, 32)
+    for x in (-0.5, 1.5, -2e-12, 1.0 + 2e-12):
+        for call in (lambda: synthesize(coeffs, [0.5, x]),
+                     lambda: basis_eval(FLAT, 3, 0, [0.5, x])):
+            with pytest.raises(ValueError, match=r"^evaluation point \[%r\] at row 1 "
+                               r"is outside the closed domain$" % x):
+                call()
+    with pytest.raises(ValueError, match="at row 0 is outside the closed domain"):
+        basis_eval(FLAT, 3, 0, -0.5)
+    assert synthesize(coeffs, [-5e-13, 1.0 + 5e-13]).shape == (2,)
+    tri = project(lambda p: p[:, 0] * p[:, 1], WeightConfig(2, (0.0, 0.0, 0.0)), 4)
+    for pt in ((0.8, 0.8), (-2e-12, 0.5), (0.5, -2e-12), (0.6, 0.4 + 2e-12)):
+        with pytest.raises(ValueError, match=r"^evaluation point \[%r, %r\] at row 1 "
+                           r"is outside the closed domain$" % pt):
+            synthesize(tri, np.array([(0.2, 0.3), pt]))
+        with pytest.raises(ValueError, match="at row 0 is outside the closed domain"):
+            basis_eval(tri.cfg, 2, 1, pt)
+    assert np.isfinite(synthesize(tri, np.array([(0.6, 0.4 + 5e-13)]))).all()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_evaluation_points_raise_naming_them(bad):
     coeffs = project(lambda x: x ** 2, FLAT, 8)
@@ -383,7 +420,7 @@ def test_interval_basis_equals_column_fill_bitwise(L, npts):
     x[0], x[-1] = 0.0, 1.0
     got = basis.eval_all(x)
     want = _interval_column_fill(basis, x)
-    assert got.flags.c_contiguous
+    assert got.flags.f_contiguous
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
