@@ -15,16 +15,15 @@ command-line front end lives in `durrmeyer.cli`.
 from .harness import (CheckReport, CheckRow, check_lemma, estimate_operator_norm,
                       report_all, run_direct, run_kfunc, run_lemmas, run_norms,
                       run_proposition, run_theorem1, verify_bracket,
-                      verify_cesaro_contraction, verify_direct,
-                      verify_eigenstructure, verify_kfunc_closed_form,
-                      verify_q_identity, verify_telescoping)
+                      verify_cesaro_contraction, verify_eigenstructure,
+                      verify_kfunc_closed_form, verify_q_identity,
+                      verify_telescoping)
 from .kfunc import (KBracket, NormContext, default_candidates, k_bracket,
                     k_exact_p2, k_lower, k_upper, k_upper_detail, norm_rule,
                     sup_points)
-from .operators import (BernsteinIndex, DurrmeyerPlan, apply_durrmeyer,
-                        apply_durrmeyer_spectral, apply_P_spectral, apply_Q,
-                        basis_moment, bernstein_basis, build_g_n,
-                        diff_operator_1d, index_range, make_plan)
+from .operators import (DurrmeyerPlan, apply_durrmeyer, apply_durrmeyer_spectral,
+                        apply_P_spectral, apply_Q, build_g_n, index_range,
+                        make_plan)
 from .orthopoly import (SpectralCoefficients, basis_eval, cesaro_factors,
                         cesaro_mean, get_basis, partial_sum, project,
                         projection_rule, synthesize)
@@ -33,35 +32,33 @@ from .quadrature import (ConstructionError, QuadratureRule, gauss_jacobi_rule,
 from .specfun import digamma, gamma_ratio_log, log_gamma, polygamma
 from .spectrum import (DegeneracyError, WeightConfig, c_n, c_n_prime,
                        c_n_second, config_for_rho, eigenvalue_mu,
-                       eigenvalue_mu_all, eigenvalue_mu_over_n, log_mu_all,
-                       log_nu_all, mu_continuous, multiplier_nu,
-                       multiplier_nu_all, nu_continuous, nu_prime, nu_second)
+                       eigenvalue_mu_all, log_mu_all, log_nu_all,
+                       mu_continuous, multiplier_nu_all, nu_continuous,
+                       nu_prime, nu_second)
 from .suite import TestFunction, get_suite
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BernsteinIndex", "CheckReport", "CheckRow", "ConstructionError",
+    "CheckReport", "CheckRow", "ConstructionError",
     "DegeneracyError", "DurrmeyerPlan", "KBracket", "NormContext",
     "QuadratureRule", "SpectralCoefficients", "TestFunction", "WeightConfig",
     "apply_P_spectral", "apply_Q", "apply_durrmeyer",
-    "apply_durrmeyer_spectral", "basis_eval", "basis_moment",
-    "bernstein_basis", "build_g_n",
+    "apply_durrmeyer_spectral", "basis_eval", "build_g_n",
     "c_n", "c_n_prime", "c_n_second", "cesaro_factors", "cesaro_mean",
-    "check_lemma", "config_for_rho", "default_candidates",
-    "diff_operator_1d", "digamma",
-    "eigenvalue_mu", "eigenvalue_mu_all", "eigenvalue_mu_over_n",
+    "check_lemma", "config_for_rho", "default_candidates", "digamma",
+    "eigenvalue_mu", "eigenvalue_mu_all",
     "estimate_operator_norm", "gamma_ratio_log", "gauss_jacobi_rule",
     "get_basis", "get_suite", "index_range", "interval_rule", "k_bracket",
     "k_exact_p2", "k_lower", "k_upper", "k_upper_detail", "log_gamma",
     "log_mu_all", "log_nu_all", "lp_norm", "make_plan", "mu_continuous",
-    "multiplier_nu", "multiplier_nu_all", "norm_rule", "nu_continuous",
+    "multiplier_nu_all", "norm_rule", "nu_continuous",
     "nu_prime", "nu_second", "partial_sum", "polygamma", "project",
     "projection_rule", "report_all",
     "run_direct", "run_kfunc", "run_lemmas", "run_norms", "run_proposition",
     "run_theorem1",
     "simplex_rule_2d", "sup_points", "synthesize", "verify_bracket",
-    "verify_cesaro_contraction", "verify_direct", "verify_eigenstructure",
+    "verify_cesaro_contraction", "verify_eigenstructure",
     "verify_kfunc_closed_form", "verify_q_identity", "verify_telescoping",
     "weight_mass",
 ]

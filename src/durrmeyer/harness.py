@@ -623,25 +623,11 @@ def _direct_rows(fc: FunctionContext, p, n, kval):
                      empirical_constant=ratio, passed=margin >= INEQ_FLOOR)]
 
 
-def verify_direct(cfg, f, p, n) -> CheckReport:
-    """DIRECT for one function at one (p, n), measured at run_direct's band."""
-    t0 = time.perf_counter()
-    fc = FunctionContext(cfg, f, band=_direct_band([n]))
-    rows = _direct_rows(fc, p, n, fc.kvalues([n], p)[0])
-    return _finish("DIRECT", "single function %s, p=%s, n=%d" % (f.f_id, p, n),
-                   rows, t0)
-
-
 def _top_degree(check_id, ns):
     """max(ns), which sets a suite check's band; an empty ns raises."""
     if not len(ns):
         raise ValueError("%s needs at least one degree n, got ns=%r" % (check_id, ns))
     return max(ns)
-
-
-def _direct_band(ns):
-    """The band DIRECT measures at: max(64, max ns)."""
-    return max(64, _top_degree("DIRECT", ns))
 
 
 _SUITE_PS = (1, 2, math.inf)
@@ -653,7 +639,7 @@ def run_direct(cfg=None, ps=_SUITE_PS, ns=_DIRECT_NS, suite_name="full",
                seed=DEFAULT_SEED, band=None) -> CheckReport:
     """Direct estimate over the suite; the band defaults to max(64, max ns)."""
     cfg = cfg if cfg is not None else config_for_rho(0.0)
-    band = band if band is not None else _direct_band(ns)
+    band = band if band is not None else max(64, _top_degree("DIRECT", ns))
     return _suite_checks(cfg, suite_name, seed, band, {"DIRECT": (ps, ns)})[0]
 
 

@@ -3,9 +3,9 @@
 The basis form follows the definition: weighted integral averages of f
 against the Bernstein basis, recombined pointwise.  The spectral form scales
 the degree blocks of a coefficient vector by the eigenvalues.  Also here:
-the second-order differential operator (spectrally, with an explicit d = 1
-cross-check), the multiplier operator built from nu(n, ell), and the
-averaged smoothing function used by the converse estimate.
+the second-order differential operator (spectrally), the multiplier
+operator built from nu(n, ell), and the averaged smoothing function used by
+the converse estimate.
 """
 
 from __future__ import annotations
@@ -20,26 +20,6 @@ from .orthopoly import (SpectralCoefficients, _no_kinks_on_triangle, _point_matr
 from .quadrature import QuadratureRule, interval_rule, simplex_rule_2d
 from .specfun import gamma_ratio_log, log_gamma
 from .spectrum import WeightConfig, _check_n, eigenvalue_mu_all, multiplier_nu_all
-
-
-@dataclass(frozen=True)
-class BernsteinIndex:
-    """Multi-index of one Bernstein basis polynomial of degree n."""
-
-    n: int
-    k: tuple
-
-    def __post_init__(self):
-        n = int(self.n)
-        k = tuple(int(v) for v in self.k)
-        if n < 0:
-            raise ValueError("degree n must be >= 0")
-        if not k:
-            raise ValueError("multi-index must have at least one component")
-        if any(v < 0 for v in k) or sum(k) > n:
-            raise ValueError("need componentwise k >= 0 and |k| <= n")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
 
 
 def index_range(n, d):
@@ -90,13 +70,6 @@ def _bernstein_matrix(n, indices, pts):
             out += term
     out += _log_multinomial(n, ks)[:, None]
     return np.exp(out, out=out)
-
-
-def bernstein_basis(idx: BernsteinIndex, x):
-    """p_{n,k}(x) = multinomial(n;k) x1^k1 ... (1-|x|)^(n-|k|), >= 0 on S."""
-    pts, single = _point_matrix(len(idx.k), x)
-    vals = _bernstein_matrix(idx.n, [idx.k], pts)[0]
-    return float(vals[0]) if single else vals
 
 
 def _mode_anchored_sum(n, a, x):
@@ -194,15 +167,6 @@ def _log_moments(cfg: WeightConfig, n, indices):
     return out
 
 
-def basis_moment(cfg: WeightConfig, n, k) -> float:
-    """Integral of p_{n,k} w_alpha over the domain, via the Dirichlet
-    closed form, assembled from cancellation-free log-gamma ratios."""
-    idx = BernsteinIndex(n, tuple(k) if np.ndim(k) else (int(k),))
-    if len(idx.k) != cfg.d:
-        raise ValueError("multi-index length must match cfg.d")
-    return float(np.exp(_log_moments(cfg, idx.n, [idx.k])[0]))
-
-
 def _check_operator_args(cfg: WeightConfig, n, coeffs: SpectralCoefficients = None):
     """The operator degree n as an int, after checking that it is a positive
     integer and that coeffs, if given, are on the operator's weight."""
@@ -298,17 +262,6 @@ def apply_P_spectral(cfg: WeightConfig,
                      coeffs: SpectralCoefficients) -> SpectralCoefficients:
     """Second-order operator on the blocks: factor -ell(ell + rho)."""
     return coeffs.scaled(_P_factors(cfg, coeffs.max_degree))
-
-
-def diff_operator_1d(g):
-    """(x(1-x) g'(x))' by exact coefficient arithmetic; the unweighted d = 1
-    form of the second-order operator, used to cross-check the spectral one.
-
-    Accepts a numpy Polynomial or an ascending coefficient sequence.
-    """
-    poly = g if isinstance(g, np.polynomial.Polynomial) else np.polynomial.Polynomial(
-        np.atleast_1d(np.asarray(g, dtype=float)))
-    return (np.polynomial.Polynomial([0.0, 1.0, -1.0]) * poly.deriv()).deriv()
 
 
 def apply_Q(cfg: WeightConfig, n, coeffs: SpectralCoefficients) -> SpectralCoefficients:

@@ -337,12 +337,21 @@ class TriangleBasis:
         return self._eval_raw(pts).T
 
 
+def _whole(value, what):
+    """value as an int; a value that is not a whole number (2.5, NaN, inf)
+    raises a ValueError naming it, where int() would truncate or overflow."""
+    if not float(value).is_integer():
+        raise ValueError("%s = %r is not an integer" % (what, value))
+    return int(value)
+
+
 def get_basis(cfg: WeightConfig, L):
     """Basis table for (cfg, L), built once and shared; the 64 most recently
     used tables stay cached."""
-    if int(L) < 0:
-        raise ValueError("band L = %d is negative; it must be >= 0" % int(L))
-    return _basis_table(cfg, int(L))
+    L = _whole(L, "band L")
+    if L < 0:
+        raise ValueError("band L = %d is negative; it must be >= 0" % L)
+    return _basis_table(cfg, L)
 
 
 @functools.lru_cache(maxsize=64)
@@ -394,7 +403,7 @@ def _at_points(cfg: WeightConfig, x, values):
 
 def basis_eval(cfg: WeightConfig, ell, j, x):
     """Value of the j-th orthonormal basis polynomial of degree ell."""
-    ell, j = int(ell), int(j)
+    ell, j = _whole(ell, "degree ell"), _whole(j, "index j")
     if ell < 0:
         raise ValueError("degree index must be >= 0")
     basis = get_basis(cfg, max(ell, default_band(cfg)))
@@ -447,7 +456,7 @@ def synthesize(coeffs: SpectralCoefficients, x):
 
 
 def _check_truncation(coeffs, n):
-    n = int(n)
+    n = _whole(n, "truncation degree")
     if not 0 <= n <= coeffs.max_degree:
         raise ValueError(
             "truncation degree %d outside the stored band 0..%d"

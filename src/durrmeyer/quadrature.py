@@ -12,7 +12,7 @@ integrals with the extra (1-x1) factor absorbed into the outer exponent.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import roots_jacobi
@@ -41,8 +41,6 @@ class ConstructionError(RuntimeError):
 class QuadratureRule:
     nodes: np.ndarray            # (m,) on [0,1] for d=1, (m,2) in the triangle for d=2
     weights: np.ndarray          # (m,), positive, Jacobi weight included
-    exact_degree: int            # polynomials up to this total degree are exact
-    weight_tag: tuple = field(default=(1, (0.0, 0.0)))  # (d, alphas)
 
     def __post_init__(self):
         self.nodes.setflags(write=False)
@@ -94,7 +92,7 @@ def _gauss_jacobi_rule(a, b, m):
         raise ConstructionError(
             "Gauss-Jacobi rule (a, b, m) = (%r, %r, %d) has %d weights that are "
             "not finite and positive" % (a, b, m, bad))
-    return QuadratureRule(nodes, weights, 2 * m - 1, (1, (a, b)))
+    return QuadratureRule(nodes, weights)
 
 
 def interval_rule(alphas, m, splits=()) -> QuadratureRule:
@@ -128,8 +126,7 @@ def interval_rule(alphas, m, splits=()) -> QuadratureRule:
             w = w * (1.0 - x) ** a2
         nodes.append(x)
         weights.append(w)
-    return QuadratureRule(np.concatenate(nodes), np.concatenate(weights),
-                          2 * m - 1, (1, (a1, a2)))
+    return QuadratureRule(np.concatenate(nodes), np.concatenate(weights))
 
 
 def simplex_rule_2d(cfg: WeightConfig, m) -> QuadratureRule:
@@ -149,41 +146,20 @@ def simplex_rule_2d(cfg: WeightConfig, m) -> QuadratureRule:
     x1 = np.broadcast_to(s, (nodes_1d, nodes_1d)).ravel()
     x2 = (t * (1.0 - s)).ravel()
     w = (outer.weights[:, None] * inner.weights[None, :]).ravel()
-    return QuadratureRule(np.column_stack([x1, x2]), w, m, (2, cfg.alphas))
+    return QuadratureRule(np.column_stack([x1, x2]), w)
 
 
-def _values_on(f, points):
-    if callable(f):
-        vals = f(points)
-    else:
-        vals = f
-    vals = np.asarray(vals, dtype=float)
-    if vals.shape != (points.shape[0],):
-        raise ValueError("function values do not match the node count")
-    return vals
-
-
-def lp_norm(f, rule, p, cfg: WeightConfig | None = None) -> float:
-    """Weighted Lp norm of f.
-
-    For finite p, `rule` is a QuadratureRule and the norm is
-    (sum w_i |f(x_i)|^p)^(1/p).  For p = inf, pass a dense grid (an ndarray of
-    points) instead of a rule; the sup norm is the max of |f| over the grid.
-    """
-    if p == np.inf:
-        if isinstance(rule, QuadratureRule):
-            raise ValueError("p = inf takes a dense grid, not a QuadratureRule")
-        grid = np.asarray(rule, dtype=float)
-        return float(np.max(np.abs(_values_on(f, grid))))
+def lp_norm(vals, rule: QuadratureRule, p) -> float:
+    """Weighted Lp norm (sum w_i |v_i|^p)^(1/p) of the values v_i of a
+    function at the nodes of `rule`, for a finite p >= 1.  Sup norms are
+    a max over a grid, which the caller takes."""
     p = float(p)
-    if p < 1.0:
-        raise ValueError("p must be >= 1")
-    if not isinstance(rule, QuadratureRule):
-        raise ValueError("finite p needs a QuadratureRule")
-    if cfg is not None and rule.weight_tag != (cfg.d, cfg.alphas):
-        raise ValueError("rule weight does not match the supplied config")
-    vals = np.abs(_values_on(f, rule.nodes))
-    return float(np.dot(rule.weights, vals ** p) ** (1.0 / p))
+    if not 1.0 <= p < np.inf:
+        raise ValueError("p must be finite and >= 1, got %r" % p)
+    vals = np.asarray(vals, dtype=float)
+    if vals.shape != rule.weights.shape:
+        raise ValueError("function values do not match the node count")
+    return float(np.dot(rule.weights, np.abs(vals) ** p) ** (1.0 / p))
 
 
 _GRID_SIZE = 4097

@@ -28,7 +28,6 @@ __all__ = [
     "eigenvalue_mu",
     "eigenvalue_mu_all",
     "log_mu_all",
-    "multiplier_nu",
     "multiplier_nu_all",
     "log_nu_all",
     "mu_continuous",
@@ -165,15 +164,6 @@ def eigenvalue_mu(cfg: WeightConfig, n, ell) -> float:
     return float(np.exp(np.sum(_log_factors(cfg.rho, n, int(ell)))))
 
 
-def eigenvalue_mu_over_n(cfg: WeightConfig, ns, ell) -> np.ndarray:
-    """mu(n, ell) for fixed ell across an array of degrees n (all >= ell)."""
-    ell = int(ell)
-    ns = np.asarray(ns, dtype=float)
-    if np.any(ns < ell):
-        raise ValueError("every degree must satisfy n >= ell")
-    return np.exp(_log_factors(cfg.rho, ns[:, None], ell).sum(axis=1))
-
-
 def _log_nu(rho, n, ell, logmu):
     # log(1 - mu) via expm1: exact for mu near 1 and for mu underflowing to 0.
     return np.log(ell * (ell + rho)) - np.log(n) + logmu - np.log(-np.expm1(logmu))
@@ -212,18 +202,6 @@ def multiplier_nu_all(cfg: WeightConfig, n) -> np.ndarray:
     """Multipliers nu(n, ell) for ell = 1..n (linear domain)."""
     n = _check_n(n)
     return _nu_rows(cfg, n, n)[0]
-
-
-def multiplier_nu(cfg: WeightConfig, n, ell) -> float:
-    """nu(n, ell) = ell (ell+rho) mu(n, ell) / (n (1 - mu(n, ell))).
-
-    nu(n, 1) = 1 identically; the sequence is strictly decreasing in ell.
-    """
-    n = _check_n(n)
-    if int(ell) != ell or not 1 <= ell <= n:
-        raise ValueError("need 1 <= ell <= n")
-    ell = int(ell)
-    return _nu(cfg.rho, n, ell, float(np.sum(_log_factors(cfg.rho, n, ell))))
 
 
 def _check_tau(cfg, n, tau):

@@ -30,7 +30,6 @@ from durrmeyer import (
     run_theorem1,
     verify_bracket,
     verify_cesaro_contraction,
-    verify_direct,
     verify_q_identity,
     verify_telescoping,
 )
@@ -156,24 +155,12 @@ def test_operator_norm_validation():
 
 def test_verify_direct_single_eigenfunction():
     cfg = config_for_rho(1.0)
-    f = next(tf for tf in eigenfunction_suite(cfg, ells=(3,)))
-    rep = verify_direct(cfg, f, 2, 8)
+    rep = run_direct(cfg, (2,), (8,), "eig")
     assert rep.passed
-    row = rep.rows[0]
+    row = next(r for r in rep.rows if r.f_id == "eig-03")
     # unit eigenfunction: operator error is exactly the eigenvalue gap
     assert abs(row.lhs - (1.0 - eigenvalue_mu(cfg, 8, 3))) <= 1e-10
     assert row.lhs <= row.rhs
-
-
-def test_verify_direct_measures_at_the_band_of_run_direct():
-    cfg = WeightConfig(1, (0.0, 0.0))
-    f = next(tf for tf in get_suite("kink", cfg) if tf.f_id == "kink-pow15")
-    ps = (1, 2, math.inf)
-    suite_rows = [r for r in run_direct(cfg, ps, (128,), "kink").rows
-                  if r.f_id == "kink-pow15"]
-    rows = [verify_direct(cfg, f, p, 128).rows[0] for p in ps]
-    assert [[_bits(v) for v in dataclasses.astuple(r)] for r in rows] == \
-        [[_bits(v) for v in dataclasses.astuple(r)] for r in suite_rows]
 
 
 def test_structural_verifiers_small():

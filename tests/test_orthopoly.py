@@ -255,6 +255,24 @@ def test_truncation_range_errors():
             cesaro_mean(coeffs, bad)
 
 
+def test_a_non_integer_band_or_degree_raises_naming_it():
+    # int() would truncate 2.5 to 2 and overflow on inf
+    coeffs = SpectralCoefficients.from_flat(FLAT, np.ones(6))
+    for what, call in [
+            ("band L = 2.5", lambda: get_basis(FLAT, 2.5)),
+            ("band L = inf", lambda: get_basis(FLAT, np.inf)),
+            ("band L = 2.5", lambda: project(lambda x: x, FLAT, 2.5)),
+            ("truncation degree = 2.5", lambda: partial_sum(coeffs, 2.5)),
+            ("truncation degree = 2.5", lambda: cesaro_mean(coeffs, 2.5)),
+            ("degree ell = 2.5", lambda: basis_eval(FLAT, 2.5, 0, 0.3)),
+            ("index j = 0.5", lambda: basis_eval(FLAT, 2, 0.5, 0.3))]:
+        with pytest.raises(ValueError, match="^%s is not an integer$" % what):
+            call()
+    # whole floats and numpy integers are whole numbers
+    assert get_basis(FLAT, 3.0) is get_basis(FLAT, np.int64(3))
+    assert partial_sum(coeffs, 2.0).flat().tolist() == [1.0, 1.0, 1.0, 0.0, 0.0, 0.0]
+
+
 def test_coefficient_container_validation():
     with pytest.raises(ValueError):
         # 1.5 blocks worth of data

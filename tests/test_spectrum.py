@@ -6,16 +6,32 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from durrmeyer.spectrum import (DegeneracyError, WeightConfig, _log_mu_rows,
-                                _log_nu_rows, _nu_rows, c_n, c_n_prime,
-                                c_n_second, config_for_rho, eigenvalue_mu,
-                                eigenvalue_mu_all, eigenvalue_mu_over_n,
-                                log_mu_all, log_nu_all, mu_continuous,
-                                multiplier_nu, multiplier_nu_all,
+from durrmeyer.spectrum import (DegeneracyError, WeightConfig, _log_factors,
+                                _log_mu_rows, _log_nu_rows, _nu, _nu_rows, c_n,
+                                c_n_prime, c_n_second, config_for_rho,
+                                eigenvalue_mu, eigenvalue_mu_all, log_mu_all,
+                                log_nu_all, mu_continuous, multiplier_nu_all,
                                 nu_continuous, nu_prime, nu_second)
 
 RHO1 = config_for_rho(1.0)
 RHO0 = config_for_rho(0.0)
+
+
+def eigenvalue_mu_over_n(cfg, ns, ell):
+    """mu(n, ell) for fixed ell across an array of degrees n (all >= ell),
+    from the telescoping factors that eigenvalue_mu sums."""
+    ns = np.asarray(ns, dtype=float)
+    if np.any(ns < ell):
+        raise ValueError("every degree must satisfy n >= ell")
+    return np.exp(_log_factors(cfg.rho, ns[:, None], ell).sum(axis=1))
+
+
+def multiplier_nu(cfg, n, ell):
+    """nu(n, ell) = ell (ell+rho) mu(n, ell) / (n (1 - mu(n, ell))), the
+    scalar form of multiplier_nu_all, from the same factors and quotient."""
+    if not 1 <= ell <= n:
+        raise ValueError("need 1 <= ell <= n")
+    return _nu(cfg.rho, n, ell, float(np.sum(_log_factors(cfg.rho, n, ell))))
 
 
 def exact_mu(rho_num, rho_den, n, ell):
