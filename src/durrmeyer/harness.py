@@ -41,8 +41,6 @@ RHO_GRID_FULL = (-0.9, -0.5, 0.0, 0.5, 1.0, 2.5, 6.0)
 RHO_GRID_NONNEG = (0.0, 0.5, 1.0, 3.0)
 RHO_GRID_SUP = (0.0, 1.0, 3.0)
 
-LEMMA_IDS = ("L1", "L1-xi", "L3", "L4", "L5", "L6", "HAT", "EQ24", "MULT-ID")
-
 
 @dataclass
 class CheckRow:
@@ -112,6 +110,25 @@ def _stabilization(ns, sups):
     return low, up, margin
 
 
+def _identity_row(check_id, cfg, resid, tol, rho=None, **cell):
+    """An identity's row, passed when its worst residual resid <= tol.  Lemma
+    rows pass their grid's rho: config_for_rho(-0.9).rho is not -0.9."""
+    return CheckRow(check_id, d=cfg.d, alphas=cfg.alphas,
+                    rho=cfg.rho if rho is None else rho, margin=tol - resid,
+                    empirical_constant=resid, passed=resid <= tol, **cell)
+
+
+def _stable_row(check_id, cfg, rho, ns, peaks):
+    """A bounded-constant row from one (sup, n, where) per degree of the ladder
+    ns, passed when the upper-half sup <= STABILIZATION_RATIO x the lower."""
+    sups = [s for s, _, _ in peaks]
+    low, up, margin = _stabilization(ns, sups)
+    peak, n_at, where = peaks[int(np.argmax(sups))]
+    return CheckRow(check_id, d=cfg.d, alphas=cfg.alphas, rho=rho, n=n_at,
+                    ell_or_tau=where, lhs=up, rhs=STABILIZATION_RATIO * low,
+                    margin=margin, empirical_constant=peak, passed=margin >= 0.0)
+
+
 # ---------------------------------------------------------------------------
 # lemma checks
 
@@ -119,36 +136,14 @@ def _stabilization(ns, sups):
 def check_lemma(lemma_id, rhos=None, n_max=None, delta=0.25, b=4.0,
                 seed=DEFAULT_SEED, tol_identity=None) -> CheckReport:
     t0 = time.perf_counter()
-    tol_id = TOL_IDENTITY if tol_identity is None else float(tol_identity)
+    tol = TOL_IDENTITY if tol_identity is None else float(tol_identity)
     if rhos is not None and not len(rhos):
         raise ValueError("%s got an empty rhos; None means the default grid" % lemma_id)
-    if lemma_id == "L1":
-        return _check_l1(_default(rhos, RHO_GRID_FULL), _default(n_max, 512), t0)
-    if lemma_id == "L1-xi":
-        return _check_l1_xi(_default(rhos, RHO_GRID_FULL), _default(n_max, 512), t0)
-    if lemma_id == "L3":
-        return _check_sup_simple("L3", _default(rhos, RHO_GRID_SUP),
-                                 _default(n_max, 2048), t0)
-    if lemma_id == "L4":
-        return _check_sup_simple("L4", _default(rhos, RHO_GRID_SUP),
-                                 _default(n_max, 2048), t0)
-    if lemma_id == "L5":
-        return _check_l5(_default(rhos, RHO_GRID_NONNEG), t0)
-    if lemma_id == "L6":
-        return _check_l6(_default(rhos, RHO_GRID_SUP), _default(n_max, 2048), delta, b, t0)
-    if lemma_id == "HAT":
-        return _check_hat(_default(rhos, RHO_GRID_NONNEG), t0)
-    if lemma_id == "EQ24":
-        return _check_eq24(_default(rhos, RHO_GRID_FULL), _default(n_max, 64), seed, t0,
-                           tol_id)
-    if lemma_id == "MULT-ID":
-        return _check_mult_id(_default(rhos, RHO_GRID_FULL), _default(n_max, 200), t0,
-                              tol_id)
-    raise ValueError("unknown lemma id %r (one of %s)" % (lemma_id, ", ".join(LEMMA_IDS)))
-
-
-def _default(value, fallback):
-    return fallback if value is None else value
+    if lemma_id not in _LEMMAS:
+        raise ValueError("unknown lemma id %r (one of %s)" % (lemma_id, ", ".join(LEMMA_IDS)))
+    check, rho_grid, top = _LEMMAS[lemma_id]
+    return check(rho_grid if rhos is None else rhos, top if n_max is None else n_max,
+                 t0, delta=delta, b=b, seed=seed, tol=tol)
 
 
 # Bytes of one float table per block of degrees in the L1, L1-xi, EQ24 and
@@ -174,7 +169,7 @@ def _require_nonneg(rhos, what):
             raise ValueError("%s requires rho >= 0, got %g" % (what, rho))
 
 
-def _check_l1(rhos, n_max, t0):
+def _check_l1(rhos, n_max, t0, **_):
     """Strict decrease of the multiplier sequence in ell, in the log domain."""
     blocks = _degree_blocks(2, n_max)
     rows = []
@@ -201,7 +196,7 @@ def _check_l1(rhos, n_max, t0):
     return _finish("L1", grid, rows, t0)
 
 
-def _check_l1_xi(rhos, n_max, t0):
+def _check_l1_xi(rhos, n_max, t0, **_):
     """Strict decrease of the signed products (n-ell-1)! Gamma(n+ell+rho+1)
     [n - ell(ell+rho+1)], compared through signs and log magnitudes."""
 
@@ -281,7 +276,7 @@ def _ladder(which, n_max, keep=lambda n: True, cond=""):
     return ns
 
 
-def _check_sup_simple(which, rhos, n_max, t0):
+def _check_sup_simple(which, rhos, n_max, t0, **_):
     """L3: sup of ell (nu_ell - nu_{ell+1}); L4: sup of the weighted absolute
     second-difference sum.  Both pass via sup stabilization."""
     _require_nonneg(rhos, which)
@@ -289,26 +284,18 @@ def _check_sup_simple(which, rhos, n_max, t0):
     rows = []
     for rho in rhos:
         cfg = config_for_rho(rho)
-        sups, locs = [], []
+        peaks = []
         for n in ns:
             nu = multiplier_nu_all(cfg, n)
             if which == "L3":
                 vals = np.arange(1, n, dtype=float) * (nu[:-1] - nu[1:])
                 i = int(np.argmax(vals))
-                sups.append(float(vals[i]))
-                locs.append((n, i + 1))
+                peaks.append((float(vals[i]), n, i + 1))
             else:
                 d2 = nu[2:] - 2.0 * nu[1:-1] + nu[:-2]
                 weights = np.arange(2, n, dtype=float)
-                sups.append(float((weights * np.abs(d2)).sum()))
-                locs.append((n, None))
-        low, up, margin = _stabilization(ns, sups)
-        peak = max(sups)
-        n_at, ell_at = locs[int(np.argmax(sups))]
-        rows.append(CheckRow(which, d=1, alphas=cfg.alphas, rho=rho, n=n_at,
-                             ell_or_tau=ell_at, lhs=up, rhs=STABILIZATION_RATIO * low,
-                             margin=margin, empirical_constant=peak,
-                             passed=margin >= 0.0))
+                peaks.append((float((weights * np.abs(d2)).sum()), n, None))
+        rows.append(_stable_row(which, cfg, rho, ns, peaks))
     grid = "rho in %s, n dyadic 8..%d, stabilization ratio %.2f" % (
         list(rhos), n_max, STABILIZATION_RATIO)
     return _finish(which, grid, rows, t0)
@@ -320,7 +307,7 @@ def _open_grid(upper, count=200):
     return k * (upper / (count + 1.0))
 
 
-def _check_l5(rhos, t0):
+def _check_l5(rhos, n_max, t0, **_):
     """Five bounds on the digamma difference and its derivatives, plus the
     two-sided logarithmic bracket, each on its stated tau-domain."""
 
@@ -379,7 +366,7 @@ def _check_l5(rhos, t0):
     return _finish("L5", grid, rows, t0)
 
 
-def _check_l6(rhos, n_max, delta, b, t0):
+def _check_l6(rhos, n_max, t0, delta, b, **_):
     """Decay of the multipliers at the top of the spectrum: n^2 nu_{n,ell}
     on [delta n, n], tau |nu'| on [1, n-1], tau^2 |nu''| on [1, sqrt(bn)]."""
 
@@ -407,15 +394,8 @@ def _check_l6(rhos, n_max, delta, b, t0):
             vals = taus ** 2 * np.abs(nu_second(cfg, n, taus))
             i = int(np.argmax(vals))
             per_sub["L6b"].append((float(vals[i]), n, float(taus[i])))
-        for cid, triples in per_sub.items():
-            sups = [s for s, _, _ in triples]
-            low, up, margin = _stabilization(ns, sups)
-            peak_i = int(np.argmax(sups))
-            peak, n_at, where = triples[peak_i]
-            rows.append(CheckRow(cid, d=1, alphas=cfg.alphas, rho=rho, n=n_at,
-                                 ell_or_tau=where, lhs=up,
-                                 rhs=STABILIZATION_RATIO * low, margin=margin,
-                                 empirical_constant=peak, passed=margin >= 0.0))
+        rows.extend(_stable_row(cid, cfg, rho, ns, peaks)
+                    for cid, peaks in per_sub.items())
     grid = ("rho in %s, n dyadic %d..%d, delta=%g, b=%g, 200-point tau grids, "
             "stabilization ratio %.2f") % (list(rhos), ns[0], ns[-1], delta, b,
                                            STABILIZATION_RATIO)
@@ -445,7 +425,7 @@ def hat_integrals(cfg, n, ells):
     return nu_second(cfg, n, ells[:, None] + x) @ w
 
 
-def _check_hat(rhos, t0):
+def _check_hat(rhos, n_max, t0, **_):
     """Second differences of the multipliers as hat-weighted integrals of the
     second derivative of the continuous extension."""
     _require_nonneg(rhos, "HAT")
@@ -461,11 +441,9 @@ def _check_hat(rhos, t0):
             rhs = hat_integrals(cfg, n, ells)
             resids = np.abs(lhs - rhs) / (np.abs(lhs) + np.abs(rhs) + 1e-12)
             i = int(np.argmax(resids))
-            resid = float(resids[i])
-            rows.append(CheckRow("HAT", d=1, alphas=cfg.alphas, rho=rho, n=n,
-                                 ell_or_tau=int(ells[i]), lhs=float(lhs[i]),
-                                 rhs=float(rhs[i]), margin=tol - resid,
-                                 empirical_constant=resid, passed=resid <= tol))
+            rows.append(_identity_row("HAT", cfg, float(resids[i]), tol, rho=rho, n=n,
+                                      ell_or_tau=int(ells[i]), lhs=float(lhs[i]),
+                                      rhs=float(rhs[i])))
     grid = ("rho in %s, n in [4,8,16,32,64], representative ell per n, "
             "%d-node Gauss-Legendre rule per hat half, tolerance %g") % (
                 list(rhos), HAT_NODES, tol)
@@ -492,7 +470,7 @@ def _eq24_combo_rows(nu):
     return tail - (j1 - 1.0) * tail_w
 
 
-def _check_eq24(rhos, n_max, seed, t0, tol=TOL_IDENTITY):
+def _check_eq24(rhos, n_max, t0, seed, tol, **_):
     blocks = _degree_blocks(2, n_max)
     rng = np.random.default_rng(seed)
     rows = []
@@ -517,15 +495,14 @@ def _check_eq24(rhos, n_max, seed, t0, tol=TOL_IDENTITY):
             if resids[r] > worst[0]:
                 worst = (float(resids[r]), int(ns[r]), float(lhs[r]), float(rhs[r]))
         resid, n, lhs, rhs = worst
-        rows.append(CheckRow("EQ24", d=1, alphas=cfg.alphas, rho=rho, n=n, lhs=lhs,
-                             rhs=rhs, margin=tol - resid, empirical_constant=resid,
-                             passed=resid <= tol))
+        rows.append(_identity_row("EQ24", cfg, resid, tol, rho=rho, n=n, lhs=lhs,
+                                  rhs=rhs))
     grid = "rho in %s, 2 <= n <= %d, random coefficient vectors, tol %g" % (
         list(rhos), n_max, tol)
     return _finish("EQ24", grid, rows, t0)
 
 
-def _check_mult_id(rhos, k_max, t0, tol=TOL_IDENTITY):
+def _check_mult_id(rhos, k_max, t0, tol, **_):
     """Successive-degree eigenvalue identity, in ratio form so that deep
     underflow in the eigenvalues themselves cannot contaminate it."""
     blocks = _degree_blocks(2, k_max, "k")
@@ -547,12 +524,26 @@ def _check_mult_id(rhos, k_max, t0, tol=TOL_IDENTITY):
             if resid[r, i] > worst[0]:
                 worst = (float(resid[r, i]), lo + int(r), int(i) + 1)
         resid, k, ell = worst
-        rows.append(CheckRow("MULT-ID", d=1, alphas=cfg.alphas, rho=rho, n=k,
-                             ell_or_tau=ell, margin=tol - resid,
-                             empirical_constant=resid, passed=resid <= tol))
+        rows.append(_identity_row("MULT-ID", cfg, resid, tol, rho=rho, n=k,
+                                  ell_or_tau=ell))
     grid = "rho in %s, 2 <= k <= %d, 1 <= ell <= k-1, ratio form, tol %g" % (
         list(rhos), k_max, tol)
     return _finish("MULT-ID", grid, rows, t0)
+
+
+# id: (check, default rho grid, default top degree), in report order
+_LEMMAS = {
+    "L1": (_check_l1, RHO_GRID_FULL, 512),
+    "L1-xi": (_check_l1_xi, RHO_GRID_FULL, 512),
+    "L3": (functools.partial(_check_sup_simple, "L3"), RHO_GRID_SUP, 2048),
+    "L4": (functools.partial(_check_sup_simple, "L4"), RHO_GRID_SUP, 2048),
+    "L5": (_check_l5, RHO_GRID_NONNEG, None),
+    "L6": (_check_l6, RHO_GRID_SUP, 2048),
+    "HAT": (_check_hat, RHO_GRID_NONNEG, None),
+    "EQ24": (_check_eq24, RHO_GRID_FULL, 64),
+    "MULT-ID": (_check_mult_id, RHO_GRID_FULL, 200),
+}
+LEMMA_IDS = tuple(_LEMMAS)
 
 
 # ---------------------------------------------------------------------------
@@ -897,9 +888,7 @@ def verify_eigenstructure(tol=1e-8) -> CheckReport:
                     if err > worst[0]:
                         worst = (err, n, ell)
         err, n, ell = worst
-        rows.append(CheckRow("EIGSTRUCT", d=cfg.d, alphas=cfg.alphas, rho=cfg.rho,
-                             n=n, ell_or_tau=ell, margin=tol - err,
-                             empirical_constant=err, passed=err <= tol))
+        rows.append(_identity_row("EIGSTRUCT", cfg, err, tol, n=n, ell_or_tau=ell))
     grid = ("three interval weights n <= 40 ell <= 10; simplex unweighted "
             "n <= 12 ell <= 6; tolerance %g") % tol
     return _finish("EIGSTRUCT", grid, rows, t0)
@@ -933,9 +922,7 @@ def _identity_scan(check_id, n_lo, n_max, tol, seed, sides):
             if resid > worst[0]:
                 worst = (resid, n)
         resid, n = worst
-        rows.append(CheckRow(check_id, d=cfg.d, alphas=cfg.alphas, rho=cfg.rho,
-                             n=n, margin=tol - resid, empirical_constant=resid,
-                             passed=resid <= tol))
+        rows.append(_identity_row(check_id, cfg, resid, tol, n=n))
     grid = "three weights, %d <= n <= %d, random band-limited f, tol %g" % (
         n_lo, n_max, tol)
     return _finish(check_id, grid, rows, t0)
@@ -980,9 +967,7 @@ def verify_kfunc_closed_form(tol=1e-8) -> CheckReport:
             if errs[i] > worst[0]:
                 worst = (float(errs[i]), ell, float(ts[i]))
         err, ell, t = worst
-        rows.append(CheckRow("KCLOSED", d=1, alphas=cfg.alphas, rho=rho,
-                             ell_or_tau=ell, empirical_constant=err,
-                             margin=tol - err, passed=err <= tol))
+        rows.append(_identity_row("KCLOSED", cfg, err, tol, rho=rho, ell_or_tau=ell))
     grid = "rho in [0, 1, 2.5], ell <= 20, 40 log-spaced t in [1e-4, 10], tol %g" % tol
     return _finish("KCLOSED", grid, rows, t0)
 

@@ -20,12 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import (_check_operator_args, apply_durrmeyer_spectral, apply_P_spectral,
-                        build_g_n)
+from .operators import (_P_factors, _check_operator_args, apply_durrmeyer_spectral,
+                        apply_P_spectral, build_g_n)
 from .orthopoly import (SpectralCoefficients, _cesaro_block_factors, _no_kinks_on_triangle,
                         get_basis)
 from .quadrature import interval_rule, lp_norm, simplex_rule_2d, sup_grid, sup_grid_2d
-from .spectrum import WeightConfig
+from .spectrum import WeightConfig, _whole
 
 _LAM2_GRID = np.exp(np.linspace(np.log(1e-18), np.log(1e18), 481))
 # The search takes logs and exps with math.log / math.exp, never np.log /
@@ -52,11 +52,6 @@ class KBracket:
         if not 0.0 <= self.lower <= self.upper * (1.0 + 1e-9) + 1e-15:
             raise ValueError(
                 "invalid bracket: lower=%r upper=%r" % (self.lower, self.upper))
-
-
-def _lambda_factors(cfg: WeightConfig, L) -> np.ndarray:
-    ell = np.arange(L + 1, dtype=float)
-    return ell * (ell + cfg.rho)
 
 
 def _p2_terms(b, lam, lam_sq, tail2, lam2):
@@ -107,7 +102,7 @@ def k_exact_p2(cfg: WeightConfig, f: SpectralCoefficients, t, tail_norm=0.0):
     at_inf = t_arr.reshape(-1) == math.inf
     ts = np.where(at_inf, 0.0, t_arr.reshape(-1))  # t = inf is keep-mean below
     b = f.block_norms()
-    lam = _lambda_factors(cfg, f.max_degree)
+    lam = -_P_factors(cfg, f.max_degree)  # ell (ell + rho), a new array
     lam_sq = lam * lam
     fid, rough = _p2_terms(b, lam, lam_sq, tail2, _LAM2_GRID)
     values = fid + ts[:, None] * rough
@@ -174,10 +169,11 @@ def sup_points(cfg: WeightConfig, kinks=()):
 
 def norm_rule(cfg: WeightConfig, L, kinks=()):
     """Quadrature rule for finite-p norms of band-L synthesis against w."""
+    L = _whole(L, "band L")
     if cfg.d == 1:
-        return interval_rule(cfg.alphas, int(L) + 24, splits=tuple(kinks))
+        return interval_rule(cfg.alphas, L + 24, splits=tuple(kinks))
     _no_kinks_on_triangle(kinks)
-    return simplex_rule_2d(cfg, 2 * int(L) + 8)
+    return simplex_rule_2d(cfg, 2 * L + 8)
 
 
 def leading_product(mat, flat):

@@ -19,12 +19,13 @@ from .orthopoly import (SpectralCoefficients, _no_kinks_on_triangle, _point_matr
                         _require_in_domain)
 from .quadrature import QuadratureRule, interval_rule, simplex_rule_2d
 from .specfun import gamma_ratio_log, log_gamma
-from .spectrum import WeightConfig, _check_n, eigenvalue_mu_all, multiplier_nu_all
+from .spectrum import (WeightConfig, _check_n, _whole, eigenvalue_mu_all,
+                       multiplier_nu_all)
 
 
 def index_range(n, d):
     """All Bernstein multi-indices of degree n in dimension d, sorted."""
-    n = int(n)
+    n = _whole(n, "degree n")
     if d == 1:
         return tuple((k,) for k in range(n + 1))
     if d == 2:
@@ -201,7 +202,7 @@ def make_plan(cfg: WeightConfig, n, f_degree=None, splits=()) -> DurrmeyerPlan:
     """Build a plan whose inner rule integrates p_{n,k} * f * w exactly for
     polynomial f of the given degree (default n), with optional kink splits."""
     n = _check_operator_args(cfg, n)
-    fdeg = int(f_degree) if f_degree is not None else n
+    fdeg = _whole(f_degree, "f_degree") if f_degree is not None else n
     target = n + fdeg + 8
     if cfg.d == 1:
         rule = interval_rule(cfg.alphas, target // 2 + 1, splits=tuple(splits))

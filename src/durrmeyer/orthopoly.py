@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .quadrature import interval_rule, simplex_rule_2d, weight_mass
-from .spectrum import WeightConfig
+from .spectrum import WeightConfig, _whole
 
 _DEFAULT_BAND = {1: 64, 2: 24}
 
@@ -337,14 +337,6 @@ class TriangleBasis:
         return self._eval_raw(pts).T
 
 
-def _whole(value, what):
-    """value as an int; a value that is not a whole number (2.5, NaN, inf)
-    raises a ValueError naming it, where int() would truncate or overflow."""
-    if not float(value).is_integer():
-        raise ValueError("%s = %r is not an integer" % (what, value))
-    return int(value)
-
-
 def get_basis(cfg: WeightConfig, L):
     """Basis table for (cfg, L), built once and shared; the 64 most recently
     used tables stay cached."""
@@ -424,8 +416,9 @@ def projection_rule(cfg: WeightConfig, L, f_degree=None, splits=()):
     For polynomial f pass its degree; for functions with interior kinks pass
     the kink locations so each smooth piece gets its own panel.
     """
-    fdeg = int(f_degree) if f_degree is not None else int(L) + 40
-    need = int(L) + fdeg + 8
+    L = _whole(L, "band L")
+    fdeg = _whole(f_degree, "f_degree") if f_degree is not None else L + 40
+    need = L + fdeg + 8
     if cfg.d == 1:
         return interval_rule(cfg.alphas, need, splits=tuple(splits))
     _no_kinks_on_triangle(splits)

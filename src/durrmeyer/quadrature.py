@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import roots_jacobi
 
 from .specfun import log_gamma
-from .spectrum import WeightConfig
+from .spectrum import WeightConfig, _whole
 
 __all__ = [
     "ConstructionError",
@@ -70,9 +70,7 @@ def gauss_jacobi_rule(a, b, m) -> QuadratureRule:
     used stay cached, and their arrays are read-only."""
     a = _check_exponent(a, "a")
     b = _check_exponent(b, "b")
-    if int(m) != m or m < 1:
-        raise ValueError("node count m must be a positive integer")
-    return _gauss_jacobi_rule(a, b, int(m))
+    return _gauss_jacobi_rule(a, b, _whole(m, "node count m", positive=True))
 
 
 @functools.lru_cache(maxsize=256)
@@ -134,9 +132,9 @@ def simplex_rule_2d(cfg: WeightConfig, m) -> QuadratureRule:
     total degree <= m against the weight x1^a1 x2^a2 (1-x1-x2)^a3."""
     if cfg.d != 2:
         raise ValueError("simplex_rule_2d needs a d = 2 weight config")
-    if int(m) != m or m < 0:
-        raise ValueError("target degree m must be a nonnegative integer")
-    m = int(m)
+    m = _whole(m, "target degree m")
+    if m < 0:
+        raise ValueError("target degree m must be a nonnegative integer, got %d" % m)
     a1, a2, a3 = cfg.alphas
     nodes_1d = m // 2 + 1
     outer = gauss_jacobi_rule(a1, a2 + a3 + 1.0, nodes_1d)

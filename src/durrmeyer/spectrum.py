@@ -91,10 +91,20 @@ def config_for_rho(rho, d=1) -> WeightConfig:
     return WeightConfig(d, (a,) * (d + 1))
 
 
+def _whole(value, what, positive=False):
+    """value as an int; a value that is not a whole number (2.5, NaN, inf),
+    or with positive=True one below 1, raises a ValueError naming it, where
+    int() would truncate or overflow."""
+    whole = float(value).is_integer()
+    if positive and not (whole and value >= 1):
+        raise ValueError("%s must be a positive integer, got %r" % (what, value))
+    if not whole:
+        raise ValueError("%s = %r is not an integer" % (what, value))
+    return int(value)
+
+
 def _check_n(n):
-    if int(n) != n or n < 1:
-        raise ValueError("degree n must be a positive integer")
-    return int(n)
+    return _whole(n, "degree n", positive=True)
 
 
 def _factor_args(rho, n, j):
@@ -158,10 +168,10 @@ def eigenvalue_mu(cfg: WeightConfig, n, ell) -> float:
     Equals (n! / (n-ell)!) Gamma(n+rho+1) / Gamma(n+ell+rho+1); strictly
     decreasing in ell with mu(n, 0) = 1.
     """
-    n = _check_n(n)
-    if int(ell) != ell or not 0 <= ell <= n:
+    n, ell = _check_n(n), _whole(ell, "degree ell")
+    if not 0 <= ell <= n:
         raise ValueError("need 0 <= ell <= n")
-    return float(np.exp(np.sum(_log_factors(cfg.rho, n, int(ell)))))
+    return float(np.exp(np.sum(_log_factors(cfg.rho, n, ell))))
 
 
 def _log_nu(rho, n, ell, logmu):

@@ -40,8 +40,10 @@ from durrmeyer.harness import (
     FunctionContext,
     _eq24_combo_rows,
     _finish,
+    _identity_row,
     _rel_margin,
     _stabilization,
+    _stable_row,
     _suite_checks,
     hat_integrals,
 )
@@ -99,6 +101,36 @@ def test_stabilization_split():
     low, up, margin = _stabilization(ns, (1.0, 1.2, 1.5, 2.0))
     assert (low, up) == (1.5, 2.0)
     assert margin < 0.0
+
+
+def test_identity_row_passes_up_to_its_tolerance():
+    cfg = config_for_rho(1.0)
+    tol = 1e-12
+    row = _identity_row("X", cfg, tol, tol, n=4)
+    assert row.passed and row.margin == 0.0 and row.empirical_constant == tol
+    assert (row.rho, row.n, row.ell_or_tau) == (cfg.rho, 4, None)
+    row = _identity_row("X", cfg, np.nextafter(tol, np.inf), tol, n=4)
+    assert not row.passed and row.margin < 0.0
+
+
+def test_stable_row_passes_at_margin_zero():
+    # 1.05 * 1.0 - 1.05 is exactly 0
+    cfg = config_for_rho(0.0)
+    row = _stable_row("X", cfg, 0.0, (8, 16), [(1.0, 8, 3), (1.05, 16, 5)])
+    assert row.passed and row.margin == 0.0
+    assert (row.lhs, row.rhs, row.empirical_constant) == (1.05, 1.05, 1.05)
+    assert (row.n, row.ell_or_tau) == (16, 5)
+    up = np.nextafter(1.05, 2.0)
+    row = _stable_row("X", cfg, 0.0, (8, 16), [(1.0, 8, 3), (up, 16, 5)])
+    assert not row.passed and row.margin < 0.0
+
+
+def test_lemma_rows_carry_the_requested_rho():
+    # the grid's rho, not the one config_for_rho rounds it to
+    assert config_for_rho(-0.9).rho != -0.9
+    for lemma_id in ("L1", "EQ24", "MULT-ID"):
+        rep = check_lemma(lemma_id, rhos=(-0.9,), n_max=16)
+        assert [r.rho for r in rep.rows] == [-0.9], lemma_id
 
 
 def test_rel_margin():

@@ -21,10 +21,13 @@ from durrmeyer import (
     basis_eval,
     build_g_n,
     eigenvalue_mu,
+    eigenvalue_mu_all,
+    gauss_jacobi_rule,
     index_range,
     interval_rule,
     lp_norm,
     make_plan,
+    norm_rule,
     project,
     projection_rule,
     simplex_rule_2d,
@@ -465,3 +468,34 @@ def test_operators_reject_a_fractional_degree_and_a_foreign_weight(name):
         with pytest.raises(ValueError, match=r"coefficients on the weight \(0\.0, 0\.0\) "
                                              r"given to an operator on \(0\.5, 1\.5\)"):
             call(WeightConfig(1, (0.5, 1.5)), 4, coeffs)
+
+
+_TRI = WeightConfig(2, (0.0, 0.0, 0.0))
+# (call of a whole-number argument v, the name its error gives): degrees,
+# bands and node counts all go through spectrum._whole
+_WHOLE_CALLS = {
+    "make_plan n": (lambda v: make_plan(FLAT, v).rule.weights, "degree n"),
+    "make_plan f_degree": (lambda v: make_plan(FLAT, 4, f_degree=v).rule.weights,
+                           "f_degree"),
+    "eigenvalue_mu ell": (lambda v: eigenvalue_mu(FLAT, 4, v), "degree ell"),
+    "eigenvalue_mu_all n": (lambda v: eigenvalue_mu_all(FLAT, v), "degree n"),
+    "gauss_jacobi_rule m": (lambda v: gauss_jacobi_rule(0, 0, v).weights, "node count m"),
+    "simplex_rule_2d m": (lambda v: simplex_rule_2d(_TRI, v).weights, "target degree m"),
+    "index_range n": (lambda v: np.array(index_range(v, 1)), "degree n"),
+    "projection_rule L": (lambda v: projection_rule(FLAT, v).weights, "band L"),
+    "projection_rule f_degree": (lambda v: projection_rule(FLAT, 8, f_degree=v).weights,
+                                 "f_degree"),
+    "norm_rule L": (lambda v: norm_rule(FLAT, v).weights, "band L"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WHOLE_CALLS))
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 2.5])
+def test_a_degree_that_is_not_a_whole_number_raises_naming_it(name, bad):
+    # int() overflowed on inf, named no argument on NaN and floored 2.5
+    call, what = _WHOLE_CALLS[name]
+    with pytest.raises(ValueError, match="^%s.*%r" % (what, bad)):
+        call(bad)
+    want = call(3)
+    for v in (3.0, np.int64(3)):
+        assert np.array_equal(call(v), want)
