@@ -15,6 +15,9 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import pickle
+import signal
 import time
 from dataclasses import dataclass, field
 
@@ -1012,21 +1015,87 @@ def run_lemmas(rhos=None, n_max=None, delta=0.25, b=4.0, seed=DEFAULT_SEED,
             for lid in LEMMA_IDS]
 
 
+def _forked_child(work, rfd, wfd):
+    """Body of the forked child: run work() and write one pickle to wfd,
+    (True, result) or (False, exception).  It leaves through os._exit, so
+    none of the parent's exit hooks, test teardown or stdio flushes run."""
+    code = 1
+    try:
+        os.close(rfd)
+        try:
+            result = (True, work())
+        except BaseException as exc:
+            result = (False, exc)
+            try:
+                pickle.loads(pickle.dumps(result))
+            except Exception:
+                result = (False, RuntimeError(repr(exc)))
+        with os.fdopen(wfd, "wb") as pipe:
+            pickle.dump(result, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _run_halves(child_work, own_work):
+    """child_work() + own_work().  When this process may run on two CPUs,
+    child_work runs in a forked child while this process runs own_work; on
+    one CPU, or where os.sched_getaffinity is missing (no fork on Windows;
+    macOS's Accelerate is not fork-safe), both run here, one after the other.
+    The child's exception re-raises here; a child that dies without a result
+    raises ChildProcessError.  No child outlives the call."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    if affinity is None or len(affinity(0)) < 2:
+        return child_work() + own_work()
+    # scipy.special's Gauss rules import scipy.linalg on first use, about
+    # 70 ms of CPU; both halves need it, so import it once, before the fork
+    import scipy.linalg  # noqa: F401
+    rfd, wfd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        _forked_child(child_work, rfd, wfd)
+    os.close(wfd)
+    status = None
+    try:
+        with os.fdopen(rfd, "rb") as pipe:
+            own = own_work()
+            data = pipe.read()
+        status = os.waitpid(pid, 0)[1]
+    finally:
+        if status is None:  # own_work raised or was interrupted
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0 or not data:
+        raise ChildProcessError(
+            "the worker of report_all %s without a result"
+            % ("was killed by signal %d" % -code if code < 0
+               else "exited with status %d" % code))
+    ok, value = pickle.loads(data)
+    if not ok:
+        raise value
+    return value + own
+
+
 def report_all(seed=DEFAULT_SEED, delta=0.25, b=4.0, tol_identity=None,
                tol_quadrature=None):
-    """Full verification battery with published defaults."""
-    reports = run_lemmas(delta=delta, b=b, seed=seed, tol_identity=tol_identity)
-    # DIRECT and THM1 share one context per suite function
-    reports.extend(_suite_checks(config_for_rho(0.0), "full", seed, 64,
-                                 {"DIRECT": (_SUITE_PS, _DIRECT_NS),
-                                  "THM1": (_SUITE_PS, _THEOREM1_NS)}))
-    reports.append(run_proposition(seed=seed))
-    eig_kw = {} if tol_quadrature is None else {"tol": float(tol_quadrature)}
-    reports.append(verify_eigenstructure(**eig_kw))
-    reports.append(verify_telescoping(seed=seed))
-    reports.append(verify_q_identity(seed=seed))
-    reports.append(verify_kfunc_closed_form(**eig_kw))
-    reports.append(verify_cesaro_contraction(seed=seed))
-    reports.append(verify_bracket(seed=seed))
+    """Full verification battery with published defaults.  The suite checks
+    (DIRECT, THM1, PROP, KBRACKET) run in a forked child beside the rest when
+    this process may use two CPUs; the reports are the same either way."""
+    def suite_half():
+        # DIRECT and THM1 share one context per suite function
+        return [*_suite_checks(config_for_rho(0.0), "full", seed, 64,
+                               {"DIRECT": (_SUITE_PS, _DIRECT_NS),
+                                "THM1": (_SUITE_PS, _THEOREM1_NS)}),
+                run_proposition(seed=seed), verify_bracket(seed=seed)]
+
+    def own_half():
+        eig_kw = {} if tol_quadrature is None else {"tol": float(tol_quadrature)}
+        return [*run_lemmas(delta=delta, b=b, seed=seed, tol_identity=tol_identity),
+                verify_eigenstructure(**eig_kw), verify_telescoping(seed=seed),
+                verify_q_identity(seed=seed), verify_kfunc_closed_form(**eig_kw),
+                verify_cesaro_contraction(seed=seed)]
+
+    reports = _run_halves(suite_half, own_half)
     reports.sort(key=lambda r: r.check_id)
     return reports

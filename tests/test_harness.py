@@ -3,6 +3,10 @@ report plumbing that the command line interface serializes."""
 
 import dataclasses
 import math
+import multiprocessing
+import os
+import pickle
+import signal
 import struct
 import time
 
@@ -33,7 +37,7 @@ from durrmeyer import (
     verify_q_identity,
     verify_telescoping,
 )
-from durrmeyer import harness, kfunc, operators, orthopoly, quadrature, suite
+from durrmeyer import cli, harness, kfunc, operators, orthopoly, quadrature, suite
 from durrmeyer.harness import (
     LEMMA_IDS,
     RHO_GRID_NONNEG,
@@ -49,7 +53,7 @@ from durrmeyer.harness import (
 )
 from durrmeyer.orthopoly import cesaro_factors
 from durrmeyer.specfun import log_gamma
-from durrmeyer.spectrum import (_nu_rows, log_mu_all, log_nu_all,
+from durrmeyer.spectrum import (DegeneracyError, _nu_rows, log_mu_all, log_nu_all,
                                 multiplier_nu_all, nu_second)
 from durrmeyer.suite import eigenfunction_suite, get_suite
 
@@ -551,3 +555,103 @@ def test_kfunc_rows_off_p2_are_the_brackets_of_a_fresh_context():
     got = [(r.f_id, r.p, r.n, _bits(r.lhs), _bits(r.rhs)) for r in rep.rows]
     assert got == want
     assert all(r.empirical_constant is None and r.passed for r in rep.rows)
+
+
+# ---------------------------------------------------------------------------
+# report_all's two halves: the suite checks run in a forked child where this
+# process may use two CPUs, and after the rest in this process otherwise
+
+FORKS = len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) >= 2
+needs_fork = pytest.mark.skipif(
+    not FORKS, reason="report_all forks only where this process may use two CPUs")
+
+
+def _texts(reports):
+    return (cli.rows_to_csv([row for rep in reports for row in rep.rows]),
+            cli.reports_to_json(reports))
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _plant(monkeypatch, name, error):
+    def planted(*args, **kwargs):
+        raise error
+    monkeypatch.setattr(harness, name, planted)
+
+
+@pytest.fixture(scope="module")
+def in_process_texts():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        mp.setattr(os, "fork", None, raising=False)  # the in-process path never forks
+        return _texts(harness.report_all())
+
+
+def test_report_all_forked_and_in_process_agree(monkeypatch, in_process_texts):
+    forks, fork = [], getattr(os, "fork", None)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork(), raising=False)
+    assert _texts(harness.report_all()) == in_process_texts
+    assert len(forks) == FORKS
+    _no_child_left()
+
+
+@pytest.mark.parametrize("error, code", [(ValueError("planted in the suite half"), 2),
+                                         (DegeneracyError("planted in the suite half"), 3)])
+def test_report_all_reraises_the_suite_half_error(monkeypatch, tmp_path, error, code):
+    _plant(monkeypatch, "_suite_checks", error)  # the fork inherits the patch
+    with pytest.raises(type(error), match="planted in the suite half"):
+        harness.report_all()
+    _no_child_left()
+    assert cli.main(["--command", "report-all", "--out", str(tmp_path / "r.csv")]) == code
+    _no_child_left()
+
+
+@needs_fork
+def test_report_all_sends_an_unpicklable_suite_half_error_as_its_repr(monkeypatch):
+    class Local(Exception):
+        pass
+
+    with pytest.raises((AttributeError, pickle.PicklingError)):
+        pickle.dumps(Local())
+    _plant(monkeypatch, "_suite_checks", Local("planted"))
+    with pytest.raises(RuntimeError, match=r"Local\('planted'\)"):
+        harness.report_all()
+    _no_child_left()
+
+
+@needs_fork
+@pytest.mark.parametrize("die, match", [
+    (lambda: os._exit(7), "exited with status 7"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), "killed by signal %d" % signal.SIGKILL)])
+def test_report_all_names_the_status_of_a_dead_worker(monkeypatch, die, match):
+    monkeypatch.setattr(harness, "verify_bracket", lambda **kw: die())
+    with pytest.raises(ChildProcessError, match=match):
+        harness.report_all()
+    _no_child_left()
+
+
+@pytest.mark.parametrize("error", [ValueError("planted in the caller's half"),
+                                   KeyboardInterrupt("planted in the caller's half")])
+def test_report_all_kills_the_worker_when_its_own_half_fails(monkeypatch, error):
+    _plant(monkeypatch, "run_lemmas", error)
+    with pytest.raises(type(error), match="planted in the caller's half"):
+        harness.report_all()
+    _no_child_left()
+
+
+def _report_all_csv():
+    return _texts(harness.report_all())[0]
+
+
+@needs_fork
+def test_report_all_runs_inside_a_pool_worker(in_process_texts):
+    # pool workers are daemonic and may not start multiprocessing children
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        csv = pool.apply_async(_report_all_csv).get(timeout=300)
+        pool.close()
+        pool.join()
+    assert csv == in_process_texts[0]
+    _no_child_left()
