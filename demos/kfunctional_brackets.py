@@ -23,7 +23,6 @@ from durrmeyer import (
     k_exact_p2,
     k_lower,
     k_upper_detail,
-    project,
 )
 from durrmeyer.suite import get_suite
 
@@ -36,11 +35,8 @@ def parse_p(tokens):
 
 
 def bracket_table(cfg, tf, ns, ps, band):
-    coeffs = project(tf, cfg, band if tf.degree is None else tf.degree)
-    if tf.kinks:
-        ctx = NormContext(cfg, coeffs, f_fn=tf.fn, kinks=tf.kinks)
-    else:
-        ctx = NormContext(cfg, coeffs)
+    ctx = NormContext.of(cfg, tf, band)
+    coeffs = ctx.coeffs
     print("K(f, 1/n)_p brackets for f = %s (tail %.3e)" % (tf.f_id, ctx.tail_norm))
     print("%4s %6s %12s %12s %12s  %s" % ("p", "n", "lower", "upper",
                                           "exact(p=2)", "witness"))

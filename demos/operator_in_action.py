@@ -21,10 +21,8 @@ from durrmeyer import (
     NormContext,
     WeightConfig,
     apply_durrmeyer,
-    apply_durrmeyer_spectral,
     eigenvalue_mu,
     make_plan,
-    project,
 )
 from durrmeyer.suite import get_suite
 
@@ -39,18 +37,13 @@ def pick_function(name, cfg, seed):
 
 
 def error_table(cfg, tf, ns, band):
-    coeffs = project(tf, cfg, band if tf.degree is None else tf.degree)
-    if tf.kinks:
-        ctx = NormContext(cfg, coeffs, f_fn=tf.fn, kinks=tf.kinks)
-    else:
-        ctx = NormContext(cfg, coeffs)
+    ctx = NormContext.of(cfg, tf, band)
     print("operator error ||M_n f - f||_p for f = %s" % tf.f_id)
     print("%6s" % "n" + "".join("%14s" % ("p=%g" % p if p != math.inf else "p=inf")
                                 for p in PS))
     rows = []
     for n in ns:
-        errs = [ctx.norm_diff(apply_durrmeyer_spectral(cfg, n, coeffs), p)
-                for p in PS]
+        errs = [ctx.op_error(n, p) for p in PS]
         print("%6d" % n + "".join("%14.6e" % e for e in errs))
         rows.append([n] + errs)
     # successive ratios show the saturation rate: smooth functions approach

@@ -19,7 +19,7 @@ from .harness import (CheckReport, CheckRow, check_lemma, estimate_operator_norm
                       verify_kfunc_closed_form, verify_q_identity,
                       verify_telescoping)
 from .kfunc import (KBracket, NormContext, default_candidates, k_bracket,
-                    k_exact_p2, k_lower, k_upper, k_upper_detail, norm_rule,
+                    k_exact_p2, k_lower, k_upper_detail, norm_rule,
                     sup_points)
 from .operators import (DurrmeyerPlan, apply_durrmeyer, apply_durrmeyer_spectral,
                         apply_P_spectral, apply_Q, build_g_n, index_range,
@@ -50,7 +50,7 @@ __all__ = [
     "eigenvalue_mu", "eigenvalue_mu_all",
     "estimate_operator_norm", "gamma_ratio_log", "gauss_jacobi_rule",
     "get_basis", "get_suite", "index_range", "interval_rule", "k_bracket",
-    "k_exact_p2", "k_lower", "k_upper", "k_upper_detail", "log_gamma",
+    "k_exact_p2", "k_lower", "k_upper_detail", "log_gamma",
     "log_mu_all", "log_nu_all", "lp_norm", "make_plan", "mu_continuous",
     "multiplier_nu_all", "norm_rule", "nu_continuous",
     "nu_prime", "nu_second", "partial_sum", "polygamma", "project",

@@ -11,7 +11,9 @@ runtimes are written to report files.  The same CSV doubles as plot input
 for external tools.
 
 Exit status: 0 all asserted checks passed, 1 failures (summary on stderr),
-2 configuration error, 3 numerical degeneracy.
+2 configuration error (an unwritable --out among them), 3 numerical
+degeneracy, 4 internal fault (a report-all worker that died without a
+result).
 """
 
 from __future__ import annotations
@@ -308,8 +310,12 @@ def write_report(reports, cfg: RunConfig):
     else:
         text = reports_to_json(reports)
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError("cannot write --out %s: %s"
+                              % (cfg.out, exc.strerror or exc))
     else:
         sys.stdout.write(text)
 
@@ -343,13 +349,16 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         reports = run(cfg)
+        write_report(reports, cfg)
     except DegeneracyError as exc:
         sys.stderr.write("degeneracy: %s\n" % exc)
         return 3
     except (ConfigError, ValueError) as exc:
         sys.stderr.write("config error: %s\n" % exc)
         return 2
-    write_report(reports, cfg)
+    except ChildProcessError as exc:
+        sys.stderr.write("internal fault: %s\n" % exc)
+        return 4
     failed = _summary(reports, sys.stderr, time.perf_counter() - t0)
     return 1 if failed else 0
 

@@ -27,7 +27,7 @@ from . import kfunc
 from .operators import (apply_durrmeyer, apply_durrmeyer_spectral, apply_P_spectral,
                         apply_Q, build_g_n, make_plan)
 from .orthopoly import (SpectralCoefficients, block_size, cesaro_mean,
-                        default_band, get_basis, partial_sum, project)
+                        default_band, get_basis, partial_sum)
 from .quadrature import gauss_jacobi_rule
 from .specfun import log_gamma
 from .spectrum import (WeightConfig, _log_mu_rows, _log_nu_rows, _nu_rows, c_n,
@@ -553,67 +553,25 @@ LEMMA_IDS = tuple(_LEMMAS)
 # suite-based checks (direct, converse, proposition)
 
 
-class FunctionContext:
-    """Projection plus cached norm machinery for one test function; operator
-    errors and K values are computed once per (n, p).  A function of known
-    degree is projected at that degree and is its own band synthesis; any
-    other is projected at the band and measured on f itself, which carries
-    its energy above the band as the tail norm."""
-
-    def __init__(self, cfg, f, band=64):
-        exact = f.degree is not None
-        coeffs = project(f, cfg, f.degree if exact else band)
-        self.ctx = kfunc.NormContext(cfg, coeffs, f_fn=None if exact else f,
-                                     kinks=f.kinks)
-        self.cfg = cfg
-        self.f = f
-        self.coeffs = coeffs
-        self._errors = {}
-        self._kvals = {}
-
-    def op_error(self, n, p):
-        """||M_n f - f||_p."""
-        key = (n, p)
-        if key not in self._errors:
-            self._errors[key] = self.ctx.norm_diff(
-                apply_durrmeyer_spectral(self.cfg, n, self.coeffs), p)
-        return self._errors[key]
-
-    def kvalues(self, ns, p):
-        """K(f, 1/n)_p for each n: the exact banded K at p = 2, all new n in
-        one batched search; the candidate upper bound otherwise."""
-        todo = [n for n in ns if (n, p) not in self._kvals]
-        if todo:
-            ts = [1.0 / n for n in todo]
-            if p == 2:
-                vals = kfunc.k_exact_p2(self.cfg, self.coeffs, ts,
-                                        tail_norm=self.ctx.tail_norm).tolist()
-            else:
-                vals = [kfunc.k_upper(self.cfg, self.coeffs, t, p, ctx=self.ctx)
-                        for t in ts]
-            self._kvals.update(((n, p), v) for n, v in zip(todo, vals))
-        return [self._kvals[(n, p)] for n in ns]
-
-
 def _by_n(row):
-    """Builder of one function's rows row(fc, p, n, K(f, 1/n)_p, *extra),
+    """Builder of one function's rows row(ctx, f, p, n, K(f, 1/n)_p, *extra),
     for each n and then each p."""
-    def build(fc, ps, ns, *extra):
-        kvals = {p: fc.kvalues(ns, p) for p in ps}
+    def build(ctx, f, ps, ns, *extra):
+        kvals = {p: ctx.kvalues(ns, p) for p in ps}
         return [r for i, n in enumerate(ns) for p in ps
-                for r in row(fc, p, n, kvals[p][i], *extra)]
+                for r in row(ctx, f, p, n, kvals[p][i], *extra)]
     return build
 
 
-def _direct_rows(fc: FunctionContext, p, n, kval):
-    lhs = fc.op_error(n, p)
+def _direct_rows(ctx, f, p, n, kval):
+    lhs = ctx.op_error(n, p)
     rhs = 2.0 * kval
     margin = _rel_margin(lhs, rhs)
     # observed error-to-K ratio; the estimate asserts it never exceeds 2
     ratio = lhs / max(0.5 * rhs, 1e-300) if rhs > 0.0 else 0.0
-    cfg = fc.cfg
+    cfg = ctx.cfg
     return [CheckRow("DIRECT", d=cfg.d, alphas=cfg.alphas, rho=cfg.rho, p=p, n=n,
-                     f_id=fc.f.f_id, lhs=lhs, rhs=rhs, margin=margin,
+                     f_id=f.f_id, lhs=lhs, rhs=rhs, margin=margin,
                      empirical_constant=ratio, passed=margin >= INEQ_FLOOR)]
 
 
@@ -637,13 +595,13 @@ def run_direct(cfg=None, ps=_SUITE_PS, ns=_DIRECT_NS, suite_name="full",
     return _suite_checks(cfg, suite_name, seed, band, {"DIRECT": (ps, ns)})[0]
 
 
-def _theorem1_rows(fc: FunctionContext, p, n, lhs):
+def _theorem1_rows(ctx, f, p, n, lhs):
     """Rows for K(f, 1/n)_p = lhs against the converse-estimate bound, with
     the leading constant 4 + 2 rho / n (THM1) and, for n >= |rho|, 6
     (THM1-R6)."""
-    cfg = fc.cfg
+    cfg = ctx.cfg
     rho = cfg.rho
-    errs = {k: fc.op_error(k, p) for k in range(n, 2 * n + 1)}
+    errs = {k: ctx.op_error(k, p) for k in range(n, 2 * n + 1)}
     tail = (4.0 / n) * sum(errs[k] for k in range(n + 1, 2 * n + 1))
     bounds = [("THM1", 4.0 + 2.0 * rho / n)]
     if n >= abs(rho):
@@ -654,7 +612,7 @@ def _theorem1_rows(fc: FunctionContext, p, n, lhs):
         rhs = lead * (errs[n] + errs[2 * n]) + tail
         margin = _rel_margin(lhs, rhs)
         out.append(CheckRow(check_id, d=cfg.d, alphas=cfg.alphas, rho=rho, p=p,
-                            n=n, f_id=fc.f.f_id, lhs=lhs, rhs=rhs,
+                            n=n, f_id=f.f_id, lhs=lhs, rhs=rhs,
                             margin=margin if asserted else None,
                             empirical_constant=margin,
                             passed=not asserted or margin >= INEQ_FLOOR))
@@ -671,13 +629,13 @@ def run_theorem1(cfg=None, ps=_SUITE_PS, ns=_THEOREM1_NS, suite_name="full",
     return _suite_checks(cfg, suite_name, seed, band, {"THM1": (ps, ns)})[0]
 
 
-def _proposition_rows(fc: FunctionContext, p, n, kval, sigma):
+def _proposition_rows(ctx, f, p, n, kval, sigma):
     """The row for K(f, 1/n)_p = kval against the operator error: asserted
     against 3 err at p = 2, reported against (1 + 2 sigma[p]) err at other
     p, sigma[p] being the empirical partial-sum norm bound."""
-    err = fc.op_error(n, p)
-    row = CheckRow("PROP", d=1, alphas=fc.cfg.alphas, rho=fc.cfg.rho, p=p, n=n,
-                   f_id=fc.f.f_id, lhs=kval, rhs=err)
+    err = ctx.op_error(n, p)
+    row = CheckRow("PROP", d=1, alphas=ctx.cfg.alphas, rho=ctx.cfg.rho, p=p, n=n,
+                   f_id=f.f_id, lhs=kval, rhs=err)
     if err < 1e-14 and kval < 1e-14:
         return [row]
     row.rhs = (3.0 if p == 2 else 1.0 + 2.0 * sigma[p]) * err
@@ -704,19 +662,19 @@ def run_proposition(ps=(2,), ns=(8, 16, 32, 64, 128), suite_name="full",
     return _suite_checks(cfg, suite_name, seed, band, {"PROP": (ps, ns, sigma)})[0]
 
 
-def _bracket_rows(check_id, fc: FunctionContext, ps, ns):
-    """Rows checking k_lower <= K <= k_upper at t = 1/n for each p and then
-    each n.  At p = 2 the exact banded K sits between the two
+def _bracket_rows(check_id, ctx, f, ps, ns):
+    """Rows checking k_lower <= K <= k_upper_detail at t = 1/n for each p
+    and then each n.  At p = 2 the exact banded K sits between the two
     (empirical_constant); elsewhere the row checks lower <= upper."""
     slack = 1e-9
-    cfg = fc.cfg
+    cfg = ctx.cfg
     rows = []
     for p in ps:
-        exacts = fc.kvalues(ns, p) if p == 2 else [None] * len(ns)
+        exacts = ctx.kvalues(ns, p) if p == 2 else [None] * len(ns)
         for n, exact in zip(ns, exacts):
-            lower = kfunc.k_lower(cfg, fc.coeffs, n, p, ctx=fc.ctx)
-            upper, _ = kfunc.k_upper_detail(cfg, fc.coeffs, 1.0 / n, p,
-                                            ctx=fc.ctx, exact=exact)
+            lower = kfunc.k_lower(cfg, ctx.coeffs, n, p, ctx=ctx)
+            upper, _ = kfunc.k_upper_detail(cfg, ctx.coeffs, 1.0 / n, p,
+                                            ctx=ctx, exact=exact)
             scale = max(upper, exact or 0.0, 1e-300)
             if exact is None:
                 margin = (upper - lower) / scale + slack
@@ -724,7 +682,7 @@ def _bracket_rows(check_id, fc: FunctionContext, ps, ns):
                 margin = min((exact - lower) / scale,
                              (upper - exact) / scale) + slack
             rows.append(CheckRow(check_id, d=cfg.d, alphas=cfg.alphas,
-                                 rho=cfg.rho, p=p, n=n, f_id=fc.f.f_id,
+                                 rho=cfg.rho, p=p, n=n, f_id=f.f_id,
                                  lhs=lower, rhs=upper, margin=margin,
                                  empirical_constant=exact,
                                  passed=margin >= 0.0))
@@ -747,7 +705,7 @@ def run_kfunc(cfg, ps, ns, suite_name="full", seed=DEFAULT_SEED) -> CheckReport:
 
 
 # grid text, filled from suite, ps (as strings), p_values, ns and seed, and
-# the builder (fc, ps, ns, *extra) -> rows of one function, of each suite check
+# the builder (ctx, f, ps, ns, *extra) -> rows of one function, of each suite check
 _SUITE_CHECKS = {
     "DIRECT": ("suite=%(suite)s, p in %(ps)s, n in %(ns)s, seed=%(seed)d",
                _by_n(_direct_rows)),
@@ -773,13 +731,13 @@ def _suite_checks(cfg, suite_name, seed, band, specs):
     spent = dict.fromkeys(specs, 0.0)
     for f in get_suite(suite_name, cfg, seed):
         t0 = time.perf_counter()
-        fc = FunctionContext(cfg, f, band=band)
+        ctx = kfunc.NormContext.of(cfg, f, band)
         for cid, args in specs.items():
-            rows[cid].extend(_SUITE_CHECKS[cid][1](fc, *args))
+            rows[cid].extend(_SUITE_CHECKS[cid][1](ctx, f, *args))
             t1 = time.perf_counter()
             spent[cid] += t1 - t0
             t0 = t1
-        del fc  # one context alive at a time
+        del ctx  # one context alive at a time
     return [_finish(cid, _SUITE_CHECKS[cid][0] % {
                 "suite": suite_name, "ps": [str(p) for p in args[0]],
                 "p_values": list(args[0]), "ns": list(args[1]), "seed": seed},

@@ -23,7 +23,7 @@ import numpy as np
 from .operators import (_P_factors, _check_operator_args, apply_durrmeyer_spectral,
                         apply_P_spectral, build_g_n)
 from .orthopoly import (SpectralCoefficients, _cesaro_block_factors, _no_kinks_on_triangle,
-                        get_basis)
+                        get_basis, project)
 from .quadrature import interval_rule, lp_norm, simplex_rule_2d, sup_grid, sup_grid_2d
 from .spectrum import WeightConfig, _whole
 
@@ -193,8 +193,9 @@ _SUP_MATRICES = weakref.WeakValueDictionary()
 
 def sup_matrix(cfg: WeightConfig, L, kinks=()):
     """Read-only band-L basis values on sup_points(cfg, kinks)."""
+    L = _whole(L, "band L")
     kinks = _kink_tuple(kinks)
-    key = (cfg, int(L), kinks)
+    key = (cfg, L, kinks)
     mat = _SUP_MATRICES.get(key)
     if mat is None:
         mat = get_basis(cfg, L).eval_all(sup_points(cfg, kinks))
@@ -204,8 +205,9 @@ def sup_matrix(cfg: WeightConfig, L, kinks=()):
 
 
 class NormContext:
-    """Caches rule nodes, sup grid, basis synthesis matrices and f-values so
-    repeated norms against one f are matrix-vector products.
+    """One measured function f: caches rule nodes, sup grid, basis synthesis
+    matrices and f-values so repeated norms against f are matrix-vector
+    products, and the operator errors and K values of f once per (n, p).
 
     Norms at p = 2 come from Parseval, so the synthesis matrices and the
     f-values on the grid are built on first use at another p; only f on
@@ -230,6 +232,17 @@ class NormContext:
             # construction; recomputing it through quadrature would
             # leave rounding noise that k_lower treats as a real tail.
             self.tail_norm = 0.0
+        self._errors = {}  # ||M_n f - f||_p per (n, p)
+        self._kvals = {}  # K(f, 1/n)_p per (n, p)
+
+    @classmethod
+    def of(cls, cfg, f, band):
+        """The context of a suite function f.  One of known degree is
+        projected at that degree and is its own band synthesis; any other is
+        projected at `band` and measured on f itself, with its kinks."""
+        if f.degree is not None:
+            return cls(cfg, project(f, cfg, f.degree))
+        return cls(cfg, project(f, cfg, band), f_fn=f, kinks=f.kinks)
 
     @functools.cached_property
     def mat_rule(self):
@@ -269,6 +282,28 @@ class NormContext:
         if p == math.inf:
             return float(np.max(np.abs(leading_product(self.mat_grid, flat))))
         return lp_norm(leading_product(self.mat_rule, flat), self.rule, p)
+
+    def op_error(self, n, p):
+        """||M_n f - f||_p."""
+        if (n, p) not in self._errors:
+            g = apply_durrmeyer_spectral(self.cfg, n, self.coeffs)
+            self._errors[n, p] = self.norm_diff(g, p)
+        return self._errors[n, p]
+
+    def kvalues(self, ns, p):
+        """K(f, 1/n)_p for each n: the exact banded K at p = 2, all new n in
+        one batched search; the candidate upper bound otherwise."""
+        todo = [n for n in ns if (n, p) not in self._kvals]
+        if todo:
+            ts = [1.0 / n for n in todo]
+            if p == 2:
+                vals = k_exact_p2(self.cfg, self.coeffs, ts,
+                                  tail_norm=self.tail_norm).tolist()
+            else:
+                vals = [k_upper_detail(self.cfg, self.coeffs, t, p, ctx=self)[0]
+                        for t in ts]
+            self._kvals.update(((n, p), v) for n, v in zip(todo, vals))
+        return [self._kvals[n, p] for n in ns]
 
 
 def default_candidates(cfg: WeightConfig, f: SpectralCoefficients, t,
@@ -320,11 +355,6 @@ def k_upper_detail(cfg: WeightConfig, f: SpectralCoefficients, t, p, *,
         if val <= best:
             best, name = val, "band-optimal"
     return best, name
-
-
-def k_upper(cfg: WeightConfig, f: SpectralCoefficients, t, p, *,
-            ctx: NormContext = None, candidates=None) -> float:
-    return k_upper_detail(cfg, f, t, p, ctx=ctx, candidates=candidates)[0]
 
 
 def k_lower(cfg: WeightConfig, f: SpectralCoefficients, n, p, *,

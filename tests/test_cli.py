@@ -185,6 +185,17 @@ def test_lemma_ladder_of_four_rungs_passes(tmp_path):
     assert rc == 0
 
 
+def test_exit_two_on_an_unwritable_out(tmp_path, capsys):
+    # the run finishes, then the report cannot be written: a bad --out, not a
+    # failed check and not a traceback
+    out = tmp_path / "missing" / "x.csv"
+    rc = run_main(["--command", "norms", "--n-start", "4", "--n-stop", "8",
+                   "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "config error: cannot write --out %s: No such file or directory\n" % out
+
+
 def test_exit_three_on_degeneracy(tmp_path, monkeypatch):
     def explode(*args, **kwargs):
         raise DegeneracyError("tau pinned to the band edge")

@@ -25,7 +25,6 @@ from durrmeyer import (
     estimate_operator_norm,
     k_exact_p2,
     k_lower,
-    k_upper,
     k_upper_detail,
     run_direct,
     run_kfunc,
@@ -37,11 +36,10 @@ from durrmeyer import (
     verify_q_identity,
     verify_telescoping,
 )
-from durrmeyer import cli, harness, kfunc, operators, orthopoly, quadrature, suite
+from durrmeyer import cli, harness, kfunc, operators, orthopoly, quadrature
 from durrmeyer.harness import (
     LEMMA_IDS,
     RHO_GRID_NONNEG,
-    FunctionContext,
     _eq24_combo_rows,
     _finish,
     _identity_row,
@@ -55,7 +53,7 @@ from durrmeyer.orthopoly import cesaro_factors
 from durrmeyer.specfun import log_gamma
 from durrmeyer.spectrum import (DegeneracyError, _nu_rows, log_mu_all, log_nu_all,
                                 multiplier_nu_all, nu_second)
-from durrmeyer.suite import eigenfunction_suite, get_suite
+from durrmeyer.suite import get_suite
 
 
 def test_every_lemma_check_passes():
@@ -209,34 +207,6 @@ def test_structural_verifiers_small():
         verify_q_identity(n_max=1)
     assert verify_cesaro_contraction(n_max=8).passed
     assert verify_bracket(ns=(4, 16)).passed
-
-
-def test_function_context_band_control():
-    cfg = config_for_rho(0.0)
-    f = next(tf for tf in eigenfunction_suite(cfg, ells=(2,)))
-    fc = FunctionContext(cfg, f, band=32)
-    # polynomial input: band follows the declared degree, tail vanishes
-    assert fc.coeffs.max_degree == 2
-    assert fc.ctx.tail_norm == 0.0
-    assert abs(fc.op_error(8, 2) - (1.0 - eigenvalue_mu(cfg, 8, 2))) <= 1e-10
-
-
-def test_function_context_measures_a_function_of_unknown_degree_on_itself():
-    # sqrt has no degree and no kinks: it is projected at the band, and its
-    # energy above the band and its norms at p != 2 come from f itself
-    cfg = WeightConfig(1, (0.0, 0.0))
-    f = suite.TestFunction("sqrt", np.sqrt)
-    fc = FunctionContext(cfg, f, band=64)
-    assert fc.coeffs.max_degree == 64
-    on_f = kfunc.NormContext(cfg, fc.coeffs, f_fn=f)
-    assert fc.ctx.tail_norm == on_f.tail_norm
-    assert 1e-5 < fc.ctx.tail_norm < 1e-4
-    g = apply_durrmeyer_spectral(cfg, 8, fc.coeffs)
-    for p in (1, 2, math.inf):
-        assert fc.op_error(8, p) == on_f.norm_diff(g, p)
-    # the band projection's own sup error is smaller than f's
-    own = kfunc.NormContext(cfg, fc.coeffs).norm_diff(g, math.inf)
-    assert fc.op_error(8, math.inf) - own > 5e-3
 
 
 def test_checkrow_field_order():
@@ -471,14 +441,14 @@ def test_shared_suite_pass_matches_standalone_runs_bitwise():
             assert [_bits(v) for v in dataclasses.astuple(a)] == \
                 [_bits(v) for v in dataclasses.astuple(b)]
     # the memoized errors and K values against direct computations
-    fresh = {f.f_id: FunctionContext(cfg, f, band=32) for f in get_suite("smoke", cfg, 7)}
+    fresh = {f.f_id: kfunc.NormContext.of(cfg, f, 32) for f in get_suite("smoke", cfg, 7)}
     for row in shared[0].rows:
-        fc, t = fresh[row.f_id], 1.0 / row.n
-        err = fc.ctx.norm_diff(apply_durrmeyer_spectral(cfg, row.n, fc.coeffs), row.p)
+        ctx, t = fresh[row.f_id], 1.0 / row.n
+        err = ctx.norm_diff(apply_durrmeyer_spectral(cfg, row.n, ctx.coeffs), row.p)
         if row.p == 2:
-            k = k_exact_p2(cfg, fc.coeffs, t, tail_norm=fc.ctx.tail_norm)
+            k = k_exact_p2(cfg, ctx.coeffs, t, tail_norm=ctx.tail_norm)
         else:
-            k = k_upper(cfg, fc.coeffs, t, row.p, ctx=fc.ctx)
+            k = k_upper_detail(cfg, ctx.coeffs, t, row.p, ctx=ctx)[0]
         assert (_bits(row.lhs), _bits(row.rhs)) == (_bits(err), _bits(2.0 * k))
 
 
@@ -527,10 +497,10 @@ def test_proposition_off_p2_scales_the_error_by_the_partial_sum_bound():
                     for n in (8, 16, 32)) for p in ps}
     want = []
     for f in get_suite("smoke", cfg, 7):
-        fc = FunctionContext(cfg, f, band=144)
+        ctx = kfunc.NormContext.of(cfg, f, 144)
         for n in ns:
             for p in ps:
-                err, kval = fc.op_error(n, p), fc.kvalues([n], p)[0]
+                err, kval = ctx.op_error(n, p), ctx.kvalues([n], p)[0]
                 rhs = err if err < 1e-14 and kval < 1e-14 else (1.0 + 2.0 * sigma[p]) * err
                 want.append((f.f_id, n, p, _bits(kval), _bits(rhs)))
     got = [(r.f_id, r.n, r.p, _bits(r.lhs), _bits(r.rhs)) for r in rep.rows]
@@ -546,11 +516,11 @@ def test_kfunc_rows_off_p2_are_the_brackets_of_a_fresh_context():
     rep = run_kfunc(cfg, ps, ns, "smoke", seed=7)
     want = []
     for f in get_suite("smoke", cfg, 7):
-        fc = FunctionContext(cfg, f, band=64)
+        ctx = kfunc.NormContext.of(cfg, f, 64)
         for p in ps:
             for n in ns:
-                lower = k_lower(cfg, fc.coeffs, n, p, ctx=fc.ctx)
-                upper, _ = k_upper_detail(cfg, fc.coeffs, 1.0 / n, p, ctx=fc.ctx)
+                lower = k_lower(cfg, ctx.coeffs, n, p, ctx=ctx)
+                upper, _ = k_upper_detail(cfg, ctx.coeffs, 1.0 / n, p, ctx=ctx)
                 want.append((f.f_id, p, n, _bits(lower), _bits(upper)))
     got = [(r.f_id, r.p, r.n, _bits(r.lhs), _bits(r.rhs)) for r in rep.rows]
     assert got == want
@@ -631,6 +601,19 @@ def test_report_all_names_the_status_of_a_dead_worker(monkeypatch, die, match):
     with pytest.raises(ChildProcessError, match=match):
         harness.report_all()
     _no_child_left()
+
+
+@needs_fork
+def test_cli_exits_4_on_a_dead_report_all_worker(monkeypatch, tmp_path, capsys):
+    # an internal fault, not a failed check (1) or a bad flag (2)
+    monkeypatch.setattr(harness, "verify_bracket", lambda **kw: os._exit(7))
+    out = tmp_path / "r.csv"
+    assert cli.main(["--command", "report-all", "--out", str(out)]) == 4
+    _no_child_left()
+    err = capsys.readouterr().err
+    assert err.startswith("internal fault: ") and "exited with status 7" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("error", [ValueError("planted in the caller's half"),

@@ -25,17 +25,21 @@ from durrmeyer import (
     k_bracket,
     k_exact_p2,
     k_lower,
-    k_upper,
     k_upper_detail,
     lp_norm,
     project,
     projection_rule,
 )
-from durrmeyer import kfunc
+from durrmeyer import kfunc, suite
 from durrmeyer.orthopoly import get_basis
 from durrmeyer.suite import get_suite
 
 FLAT = WeightConfig(1, (0.0, 0.0))
+
+
+def _k_upper(cfg, f, t, p, **kw):
+    """The value of k_upper_detail, without its witness."""
+    return k_upper_detail(cfg, f, t, p, **kw)[0]
 
 
 def _norm_f(ctx, p):
@@ -113,7 +117,7 @@ def test_degenerate_inputs():
     with pytest.raises(ValueError):
         k_exact_p2(FLAT, f, -0.1)
     with pytest.raises(ValueError):
-        k_upper(FLAT, f, -0.1, 2)
+        _k_upper(FLAT, f, -0.1, 2)
     with pytest.raises(ValueError):
         k_lower(FLAT, f, 0, 2)
 
@@ -127,7 +131,7 @@ def test_nan_and_negative_arguments_raise_naming_them():
         with pytest.raises(ValueError, match="^tail_norm must"):
             k_exact_p2(FLAT, f, 0.1, tail_norm=tail)
     with pytest.raises(ValueError, match="^t must"):
-        k_upper(FLAT, f, math.nan, 2)
+        _k_upper(FLAT, f, math.nan, 2)
 
 
 def test_infinite_t_gives_the_keep_mean_limit():
@@ -164,7 +168,7 @@ def test_upper_bounded_by_norm():
     for p in (1.0, 2.0, math.inf):
         norm = _norm_f(ctx, p)
         for t in (0.01, 0.1, 1.0, 10.0):
-            assert k_upper(FLAT, f, t, p, ctx=ctx) <= norm * (1.0 + 1e-12), (p, t)
+            assert _k_upper(FLAT, f, t, p, ctx=ctx) <= norm * (1.0 + 1e-12), (p, t)
 
 
 def test_upper_monotone_in_t_with_fixed_candidates():
@@ -176,7 +180,7 @@ def test_upper_monotone_in_t_with_fixed_candidates():
     cands = default_candidates(FLAT, f, 0.05)
     ts = np.logspace(-3.0, 0.5, 25)
     for p in (1.0, math.inf):
-        vals = [k_upper(FLAT, f, t, p, ctx=ctx, candidates=cands) for t in ts]
+        vals = [_k_upper(FLAT, f, t, p, ctx=ctx, candidates=cands) for t in ts]
         assert np.min(np.diff(vals)) >= -1e-12, p
 
 
@@ -242,6 +246,67 @@ def test_lower_requires_resolved_band():
     assert k_lower(FLAT, coeffs, L, 2, ctx=ctx) > 0.0
     with pytest.raises(ValueError):
         k_lower(FLAT, coeffs, L + 1, 2, ctx=ctx)
+
+
+def test_norm_context_of_band_control():
+    cfg = config_for_rho(0.0)
+    f = next(tf for tf in suite.eigenfunction_suite(cfg, ells=(2,)))
+    ctx = NormContext.of(cfg, f, 32)
+    # polynomial input: band follows the declared degree, tail vanishes
+    assert ctx.coeffs.max_degree == 2
+    assert ctx.tail_norm == 0.0
+    assert abs(ctx.op_error(8, 2) - (1.0 - eigenvalue_mu(cfg, 8, 2))) <= 1e-10
+
+
+def test_norm_context_of_measures_a_function_of_unknown_degree_on_itself():
+    # sqrt has no degree and no kinks: it is projected at the band, and its
+    # energy above the band and its norms at p != 2 come from f itself
+    f = suite.TestFunction("sqrt", np.sqrt)
+    ctx = NormContext.of(FLAT, f, 64)
+    assert ctx.coeffs.max_degree == 64
+    on_f = NormContext(FLAT, ctx.coeffs, f_fn=f)
+    assert ctx.tail_norm == on_f.tail_norm
+    assert 1e-5 < ctx.tail_norm < 1e-4
+    g = apply_durrmeyer_spectral(FLAT, 8, ctx.coeffs)
+    for p in (1, 2, math.inf):
+        assert ctx.op_error(8, p) == on_f.norm_diff(g, p)
+    # the band projection's own sup error is smaller than f's
+    own = NormContext(FLAT, ctx.coeffs).norm_diff(g, math.inf)
+    assert ctx.op_error(8, math.inf) - own > 5e-3
+
+
+def test_norm_context_computes_each_error_and_k_value_once(monkeypatch):
+    calls = {"norm_diff": 0, "k_exact_p2": [], "k_upper_detail": 0}
+    real_diff, real_exact, real_upper = (NormContext.norm_diff, kfunc.k_exact_p2,
+                                         kfunc.k_upper_detail)
+
+    def norm_diff(self, g, p):
+        calls["norm_diff"] += 1
+        return real_diff(self, g, p)
+
+    def k_exact(cfg, f, t, tail_norm=0.0):
+        calls["k_exact_p2"].append(list(t))
+        return real_exact(cfg, f, t, tail_norm=tail_norm)
+
+    def k_upper(*args, **kw):
+        calls["k_upper_detail"] += 1
+        return real_upper(*args, **kw)
+
+    monkeypatch.setattr(NormContext, "norm_diff", norm_diff)
+    monkeypatch.setattr(kfunc, "k_exact_p2", k_exact)
+    monkeypatch.setattr(kfunc, "k_upper_detail", k_upper)
+    ctx = NormContext.of(FLAT, get_suite("poly", FLAT)[0], 64)
+    errs = [ctx.op_error(8, p) for p in (1, 2, 1, 2)]
+    assert errs[:2] == errs[2:] and calls["norm_diff"] == 2
+    first = ctx.kvalues([4, 8], 2)
+    assert ctx.kvalues([8, 4], 2) == first[::-1]
+    # only the new n joins the one batched search of a later call
+    ctx.kvalues([4, 8, 16], 2)
+    assert calls["k_exact_p2"] == [[0.25, 0.125], [1.0 / 16]]
+    k1 = ctx.kvalues([4], 1)
+    spent = calls["norm_diff"]  # the candidate search takes norms of its own
+    assert ctx.kvalues([4], 1) == k1 and ctx.op_error(8, 1) == errs[0]
+    assert calls["k_upper_detail"] == 1 and calls["norm_diff"] == spent
 
 
 @pytest.mark.parametrize("cfg, with_fn", [(FLAT, True), (FLAT, False),

@@ -36,6 +36,7 @@ from durrmeyer import (
 from durrmeyer import k_lower, operators
 from durrmeyer.operators import _bernstein_matrix, _bernstein_sum, _log_moments
 from durrmeyer.orthopoly import _point_matrix
+from durrmeyer.kfunc import sup_matrix
 from durrmeyer.quadrature import sup_grid
 from durrmeyer.spectrum import _log_factors
 
@@ -471,6 +472,15 @@ def test_operators_reject_a_fractional_degree_and_a_foreign_weight(name):
 
 
 _TRI = WeightConfig(2, (0.0, 0.0, 0.0))
+
+
+def _sup_matrix_beside_band_2(v):
+    """sup_matrix at band v while a band-2 matrix is cached: its cache was
+    once keyed by int(v), so 2.5 returned the band-2 matrix."""
+    held = sup_matrix(FLAT, 2)  # keeps the cache entry alive
+    return sup_matrix(FLAT, v)
+
+
 # (call of a whole-number argument v, the name its error gives): degrees,
 # bands and node counts all go through spectrum._whole
 _WHOLE_CALLS = {
@@ -486,6 +496,7 @@ _WHOLE_CALLS = {
     "projection_rule f_degree": (lambda v: projection_rule(FLAT, 8, f_degree=v).weights,
                                  "f_degree"),
     "norm_rule L": (lambda v: norm_rule(FLAT, v).weights, "band L"),
+    "sup_matrix L": (_sup_matrix_beside_band_2, "band L"),
 }
 
 
