@@ -17,13 +17,7 @@ import csv
 import math
 import sys
 
-from durrmeyer import (
-    NormContext,
-    WeightConfig,
-    k_exact_p2,
-    k_lower,
-    k_upper_detail,
-)
+from durrmeyer import NormContext, WeightConfig, k_lower, k_upper_detail
 from durrmeyer.suite import get_suite
 
 
@@ -36,20 +30,15 @@ def parse_p(tokens):
 
 def bracket_table(cfg, tf, ns, ps, band):
     ctx = NormContext.of(cfg, tf, band)
-    coeffs = ctx.coeffs
     print("K(f, 1/n)_p brackets for f = %s (tail %.3e)" % (tf.f_id, ctx.tail_norm))
     print("%4s %6s %12s %12s %12s  %s" % ("p", "n", "lower", "upper",
                                           "exact(p=2)", "witness"))
     rows = []
     for p in ps:
         for n in ns:
-            try:
-                lower = k_lower(cfg, coeffs, n, p, ctx=ctx)
-            except ValueError:
-                lower = 0.0  # band cannot resolve degree n; K >= 0 still holds
-            upper, witness = k_upper_detail(cfg, coeffs, 1.0 / n, p, ctx=ctx)
-            exact = (k_exact_p2(cfg, coeffs, 1.0 / n, tail_norm=ctx.tail_norm)
-                     if p == 2 else float("nan"))
+            lower = k_lower(ctx, n, p)
+            upper, witness = k_upper_detail(ctx, 1.0 / n, p)
+            exact = ctx.kvalues([1.0 / n], 2)[0] if p == 2 else float("nan")
             ptxt = "inf" if p == math.inf else "%g" % p
             print("%4s %6d %12.6e %12.6e %12s  %s"
                   % (ptxt, n, lower, upper,

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 import time
@@ -96,6 +97,12 @@ class RunConfig:
                 raise ConfigError("p must satisfy 1 <= p <= inf, got %r" % p)
         self.weight()  # raises ValueError naming the alpha_i > -1 constraint
         self.ns()
+        if self.out is not None:  # an unwritable --out fails before the run
+            folder = os.path.dirname(self.out) or "."
+            if not os.access(folder, os.W_OK):
+                why = ("Permission denied" if os.path.exists(folder)
+                       else "No such file or directory")
+                raise ConfigError("cannot write --out %s: %s" % (self.out, why))
 
 
 def _parse_p_token(tok):

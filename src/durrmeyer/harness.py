@@ -557,7 +557,7 @@ def _by_n(row):
     """Builder of one function's rows row(ctx, f, p, n, K(f, 1/n)_p, *extra),
     for each n and then each p."""
     def build(ctx, f, ps, ns, *extra):
-        kvals = {p: ctx.kvalues(ns, p) for p in ps}
+        kvals = {p: ctx.kvalues([1.0 / n for n in ns], p) for p in ps}
         return [r for i, n in enumerate(ns) for p in ps
                 for r in row(ctx, f, p, n, kvals[p][i], *extra)]
     return build
@@ -670,17 +670,12 @@ def _bracket_rows(check_id, ctx, f, ps, ns):
     cfg = ctx.cfg
     rows = []
     for p in ps:
-        exacts = ctx.kvalues(ns, p) if p == 2 else [None] * len(ns)
+        exacts = ctx.kvalues([1.0 / n for n in ns], p) if p == 2 else [None] * len(ns)
         for n, exact in zip(ns, exacts):
-            lower = kfunc.k_lower(cfg, ctx.coeffs, n, p, ctx=ctx)
-            upper, _ = kfunc.k_upper_detail(cfg, ctx.coeffs, 1.0 / n, p,
-                                            ctx=ctx, exact=exact)
-            scale = max(upper, exact or 0.0, 1e-300)
-            if exact is None:
-                margin = (upper - lower) / scale + slack
-            else:
-                margin = min((exact - lower) / scale,
-                             (upper - exact) / scale) + slack
+            lower = kfunc.k_lower(ctx, n, p)
+            upper, _ = kfunc.k_upper_detail(ctx, 1.0 / n, p)
+            gaps = (upper - lower,) if exact is None else (exact - lower, upper - exact)
+            margin = min(gaps) / max(upper, exact or 0.0, 1e-300) + slack
             rows.append(CheckRow(check_id, d=cfg.d, alphas=cfg.alphas,
                                  rho=cfg.rho, p=p, n=n, f_id=f.f_id,
                                  lhs=lower, rhs=upper, margin=margin,

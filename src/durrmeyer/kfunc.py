@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import (_P_factors, _check_operator_args, apply_durrmeyer_spectral,
-                        apply_P_spectral, build_g_n)
+from .operators import _P_factors, apply_durrmeyer_spectral, apply_P_spectral, build_g_n
 from .orthopoly import (SpectralCoefficients, _cesaro_block_factors, _no_kinks_on_triangle,
                         get_basis, project)
 from .quadrature import interval_rule, lp_norm, simplex_rule_2d, sup_grid, sup_grid_2d
@@ -205,17 +204,22 @@ def sup_matrix(cfg: WeightConfig, L, kinks=()):
 
 
 class NormContext:
-    """One measured function f: caches rule nodes, sup grid, basis synthesis
-    matrices and f-values so repeated norms against f are matrix-vector
-    products, and the operator errors and K values of f once per (n, p).
+    """One measured function f, which every K bound on f takes: caches rule
+    nodes, sup grid, basis synthesis matrices and f-values so repeated norms
+    against f are matrix-vector products, ||M_n f - f||_p once per (n, p) and
+    K(f, t)_p once per (t, p).
 
     Norms at p = 2 come from Parseval, so the synthesis matrices and the
     f-values on the grid are built on first use at another p; only f on
     the rule nodes is needed up front, for the tail norm.  A band-limited g
     is synthesized from its leading nonzero blocks only.  The sup-grid
-    matrix is the one `sup_matrix` shares."""
+    matrix is the one `sup_matrix` shares.  Coefficients on a weight other
+    than cfg, and a g on a weight or band other than f's, raise."""
 
     def __init__(self, cfg, f_coeffs, f_fn=None, kinks=()):
+        if f_coeffs.cfg is not cfg and f_coeffs.cfg != cfg:
+            raise ValueError("coefficients on the weight %s given to a norm context on %s"
+                             % (f_coeffs.cfg.alphas, cfg.alphas))
         self.cfg = cfg
         self.coeffs = f_coeffs
         self.kinks = tuple(kinks)
@@ -230,10 +234,10 @@ class NormContext:
         else:
             # f is its own band synthesis, so the tail is zero by
             # construction; recomputing it through quadrature would
-            # leave rounding noise that k_lower treats as a real tail.
+            # leave rounding noise that op_error treats as a real tail.
             self.tail_norm = 0.0
         self._errors = {}  # ||M_n f - f||_p per (n, p)
-        self._kvals = {}  # K(f, 1/n)_p per (n, p)
+        self._kvals = {}  # K(f, t)_p per (t, p)
 
     @classmethod
     def of(cls, cfg, f, band):
@@ -264,8 +268,16 @@ class NormContext:
             return np.asarray(self._f_fn(self.grid), dtype=float)
         return self.mat_grid @ self.coeffs.flat()
 
+    def _check_band(self, g):
+        f = self.coeffs
+        if (g.cfg is not f.cfg and g.cfg != f.cfg) or (
+                g.offsets is not f.offsets and g.max_degree != f.max_degree):
+            raise ValueError("g on the weight %s at band %d, not f's %s at band %d"
+                             % (g.cfg.alphas, g.max_degree, f.cfg.alphas, f.max_degree))
+
     def norm_diff(self, g: SpectralCoefficients, p):
-        """||f - g||_p for band-limited g."""
+        """||f - g||_p for g on f's weight and band."""
+        self._check_band(g)
         if p == 2:
             band = self.coeffs - g
             return math.sqrt(band.norm2() ** 2 + self.tail_norm ** 2)
@@ -275,7 +287,8 @@ class NormContext:
         return lp_norm(self.f_rule - leading_product(self.mat_rule, flat), self.rule, p)
 
     def norm_band(self, g: SpectralCoefficients, p):
-        """||g||_p for band-limited g."""
+        """||g||_p for g on f's weight and band."""
+        self._check_band(g)
         if p == 2:
             return g.norm2()
         flat = g.flat()
@@ -284,33 +297,34 @@ class NormContext:
         return lp_norm(leading_product(self.mat_rule, flat), self.rule, p)
 
     def op_error(self, n, p):
-        """||M_n f - f||_p."""
+        """||M_n f - f||_p; with a tail above the band, n must be in it."""
         if (n, p) not in self._errors:
             g = apply_durrmeyer_spectral(self.cfg, n, self.coeffs)
+            if self.tail_norm > 0.0 and n > self.coeffs.max_degree:
+                raise ValueError("band too small to apply the degree-n operator exactly")
             self._errors[n, p] = self.norm_diff(g, p)
         return self._errors[n, p]
 
-    def kvalues(self, ns, p):
-        """K(f, 1/n)_p for each n: the exact banded K at p = 2, all new n in
+    def kvalues(self, ts, p):
+        """K(f, t)_p for each t: the exact banded K at p = 2, all new t in
         one batched search; the candidate upper bound otherwise."""
-        todo = [n for n in ns if (n, p) not in self._kvals]
+        todo = [t for t in ts if (t, p) not in self._kvals]
         if todo:
-            ts = [1.0 / n for n in todo]
             if p == 2:
-                vals = k_exact_p2(self.cfg, self.coeffs, ts,
+                vals = k_exact_p2(self.cfg, self.coeffs, todo,
                                   tail_norm=self.tail_norm).tolist()
             else:
-                vals = [k_upper_detail(self.cfg, self.coeffs, t, p, ctx=self)[0]
-                        for t in ts]
-            self._kvals.update(((n, p), v) for n, v in zip(todo, vals))
-        return [self._kvals[n, p] for n in ns]
+                vals = [k_upper_detail(self, t, p)[0] for t in todo]
+            self._kvals.update(((t, p), v) for t, v in zip(todo, vals))
+        return [self._kvals[t, p] for t in ts]
 
 
-def default_candidates(cfg: WeightConfig, f: SpectralCoefficients, t,
-                       band_limited=True):
-    """Candidate smoothing functions: the operator at a dyadic ladder of
-    degrees, the averaged smoother, and Cesaro means near degree 1/t."""
+def default_candidates(ctx: NormContext, t):
+    """Candidate smoothing functions of ctx's f: the operator at a dyadic
+    ladder of degrees, the averaged smoother, and Cesaro means near degree 1/t."""
+    cfg, f = ctx.cfg, ctx.coeffs
     L = f.max_degree
+    band_limited = ctx.tail_norm == 0.0
     n = max(1, int(math.ceil(1.0 / max(float(t), 1e-300) - 1e-12)))
     out = [("zero", f * 0.0)]
     # For band-limited f the diagonal action reproduces the true operator at
@@ -326,53 +340,36 @@ def default_candidates(cfg: WeightConfig, f: SpectralCoefficients, t,
     return out
 
 
-def k_upper_detail(cfg: WeightConfig, f: SpectralCoefficients, t, p, *,
-                   ctx: NormContext = None, candidates=None, exact=None):
-    """Minimum of ||f-g||_p + t ||P g||_p over the candidates; returns
-    (value, witness).  A valid upper bound for the K-functional.
-
-    At p = 2 the banded optimum k_exact_p2 joins the candidates; a caller
-    that already holds it for this t and ctx.tail_norm passes it as `exact`
-    and the search is not repeated."""
+def k_upper_detail(ctx: NormContext, t, p):
+    """Minimum of ||f-g||_p + t ||P g||_p over the candidates for ctx's f;
+    returns (value, witness).  A valid upper bound for the K-functional.  At
+    p = 2 the banded optimum, read from ctx.kvalues, joins the candidates."""
     t = float(t)
     if not t >= 0.0:
         raise ValueError("t must be >= 0, got %r" % t)
-    if ctx is None:
-        ctx = NormContext(cfg, f)
-    if candidates is None:
-        candidates = default_candidates(cfg, f, t,
-                                        band_limited=ctx.tail_norm == 0.0)
     best, name = math.inf, "none"
-    for label, g in candidates:
-        rough = ctx.norm_band(apply_P_spectral(cfg, g), p)
+    for label, g in default_candidates(ctx, t):
+        rough = ctx.norm_band(apply_P_spectral(ctx.cfg, g), p)
         # a candidate with P g = 0 pays no penalty, also at t = inf
         val = ctx.norm_diff(g, p) + (t * rough if rough else 0.0)
         if val < best:
             best, name = val, label
     if p == 2:
-        val = exact if exact is not None else \
-            k_exact_p2(cfg, f, t, tail_norm=ctx.tail_norm)
+        val = ctx.kvalues([t], 2)[0]
         if val <= best:
             best, name = val, "band-optimal"
     return best, name
 
 
-def k_lower(cfg: WeightConfig, f: SpectralCoefficients, n, p, *,
-            ctx: NormContext = None) -> float:
-    """||M_n f - f||_p / 2, the direct-estimate lower bound at t = 1/n."""
-    n = _check_operator_args(cfg, n, f)
-    if ctx is None:
-        ctx = NormContext(cfg, f)
-    if ctx.tail_norm > 0.0 and n > f.max_degree:
-        raise ValueError("band too small to apply the degree-n operator exactly")
-    return 0.5 * ctx.norm_diff(apply_durrmeyer_spectral(cfg, n, f), p)
+def k_lower(ctx: NormContext, n, p) -> float:
+    """||M_n f - f||_p / 2 for ctx's f, the direct-estimate lower bound at t = 1/n."""
+    return 0.5 * ctx.op_error(n, p)
 
 
 def k_bracket(cfg: WeightConfig, f: SpectralCoefficients, n, p, *,
               ctx: NormContext = None) -> KBracket:
-    """Lower and upper estimates of K(f, 1/n)_p from one shared context."""
-    if ctx is None:
-        ctx = NormContext(cfg, f)
-    lower = k_lower(cfg, f, n, p, ctx=ctx)
-    upper, witness = k_upper_detail(cfg, f, 1.0 / n, p, ctx=ctx)
-    return KBracket(lower, upper, witness)
+    """Lower and upper estimates of K(f, 1/n)_p from one shared context of f."""
+    ctx = ctx if ctx is not None else NormContext(cfg, f)
+    if not (ctx.cfg == cfg == f.cfg and np.array_equal(ctx.coeffs.flat(), f.flat())):
+        raise ValueError("the context measures another function than f")
+    return KBracket(k_lower(ctx, n, p), *k_upper_detail(ctx, 1.0 / n, p))

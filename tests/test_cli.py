@@ -185,15 +185,25 @@ def test_lemma_ladder_of_four_rungs_passes(tmp_path):
     assert rc == 0
 
 
-def test_exit_two_on_an_unwritable_out(tmp_path, capsys):
-    # the run finishes, then the report cannot be written: a bad --out, not a
-    # failed check and not a traceback
+def test_exit_two_on_an_unwritable_out(tmp_path, capsys, monkeypatch):
+    # a missing directory is found before any check runs: a bad --out, not
+    # a failed check and not a traceback
+    def run(cfg):
+        raise AssertionError("the command ran before --out was checked")
+
+    monkeypatch.setattr(cli, "run", run)
     out = tmp_path / "missing" / "x.csv"
-    rc = run_main(["--command", "norms", "--n-start", "4", "--n-stop", "8",
-                   "--out", str(out)])
+    rc = run_main(["--command", "verify-lemmas", "--n-stop", "2048", "--out", str(out)])
     assert rc == 2
     err = capsys.readouterr().err
     assert err == "config error: cannot write --out %s: No such file or directory\n" % out
+    # a path that only opening shows to be unwritable exits 2 after the run
+    monkeypatch.undo()
+    rc = run_main(["--command", "norms", "--n-start", "4", "--n-stop", "8",
+                   "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error: cannot write --out %s: "
+                                              % tmp_path)
 
 
 def test_exit_three_on_degeneracy(tmp_path, monkeypatch):

@@ -448,7 +448,7 @@ def test_shared_suite_pass_matches_standalone_runs_bitwise():
         if row.p == 2:
             k = k_exact_p2(cfg, ctx.coeffs, t, tail_norm=ctx.tail_norm)
         else:
-            k = k_upper_detail(cfg, ctx.coeffs, t, row.p, ctx=ctx)[0]
+            k = k_upper_detail(ctx, t, row.p)[0]
         assert (_bits(row.lhs), _bits(row.rhs)) == (_bits(err), _bits(2.0 * k))
 
 
@@ -500,7 +500,7 @@ def test_proposition_off_p2_scales_the_error_by_the_partial_sum_bound():
         ctx = kfunc.NormContext.of(cfg, f, 144)
         for n in ns:
             for p in ps:
-                err, kval = ctx.op_error(n, p), ctx.kvalues([n], p)[0]
+                err, kval = ctx.op_error(n, p), ctx.kvalues([1.0 / n], p)[0]
                 rhs = err if err < 1e-14 and kval < 1e-14 else (1.0 + 2.0 * sigma[p]) * err
                 want.append((f.f_id, n, p, _bits(kval), _bits(rhs)))
     got = [(r.f_id, r.n, r.p, _bits(r.lhs), _bits(r.rhs)) for r in rep.rows]
@@ -519,8 +519,8 @@ def test_kfunc_rows_off_p2_are_the_brackets_of_a_fresh_context():
         ctx = kfunc.NormContext.of(cfg, f, 64)
         for p in ps:
             for n in ns:
-                lower = k_lower(cfg, ctx.coeffs, n, p, ctx=ctx)
-                upper, _ = k_upper_detail(cfg, ctx.coeffs, 1.0 / n, p, ctx=ctx)
+                lower = k_lower(ctx, n, p)
+                upper, _ = k_upper_detail(ctx, 1.0 / n, p)
                 want.append((f.f_id, p, n, _bits(lower), _bits(upper)))
     got = [(r.f_id, r.p, r.n, _bits(r.lhs), _bits(r.rhs)) for r in rep.rows]
     assert got == want

@@ -17,6 +17,7 @@ from durrmeyer import (
     NormContext,
     SpectralCoefficients,
     WeightConfig,
+    apply_P_spectral,
     apply_durrmeyer_spectral,
     config_for_rho,
     default_candidates,
@@ -35,11 +36,6 @@ from durrmeyer.orthopoly import get_basis
 from durrmeyer.suite import get_suite
 
 FLAT = WeightConfig(1, (0.0, 0.0))
-
-
-def _k_upper(cfg, f, t, p, **kw):
-    """The value of k_upper_detail, without its witness."""
-    return k_upper_detail(cfg, f, t, p, **kw)[0]
 
 
 def _norm_f(ctx, p):
@@ -116,10 +112,11 @@ def test_degenerate_inputs():
     assert k_exact_p2(FLAT, zero, 0.7) == 0.0
     with pytest.raises(ValueError):
         k_exact_p2(FLAT, f, -0.1)
+    ctx = NormContext(FLAT, f)
     with pytest.raises(ValueError):
-        _k_upper(FLAT, f, -0.1, 2)
+        k_upper_detail(ctx, -0.1, 2)
     with pytest.raises(ValueError):
-        k_lower(FLAT, f, 0, 2)
+        k_lower(ctx, 0, 2)
 
 
 def test_nan_and_negative_arguments_raise_naming_them():
@@ -131,7 +128,7 @@ def test_nan_and_negative_arguments_raise_naming_them():
         with pytest.raises(ValueError, match="^tail_norm must"):
             k_exact_p2(FLAT, f, 0.1, tail_norm=tail)
     with pytest.raises(ValueError, match="^t must"):
-        _k_upper(FLAT, f, math.nan, 2)
+        k_upper_detail(NormContext(FLAT, f), math.nan, 2)
 
 
 def test_infinite_t_gives_the_keep_mean_limit():
@@ -150,7 +147,7 @@ def test_upper_at_infinite_t_is_finite_for_p1_and_sup():
     f = SpectralCoefficients.from_flat(FLAT, [1.0, 0.5, 0.25, 0.1])
     ctx = NormContext(FLAT, f)
     for p in (1.0, math.inf):
-        assert k_upper_detail(FLAT, f, math.inf, p, ctx=ctx) == (_norm_f(ctx, p), "zero")
+        assert k_upper_detail(ctx, math.inf, p) == (_norm_f(ctx, p), "zero")
 
 
 def test_non_finite_coefficients_raise_before_any_k_value():
@@ -168,19 +165,29 @@ def test_upper_bounded_by_norm():
     for p in (1.0, 2.0, math.inf):
         norm = _norm_f(ctx, p)
         for t in (0.01, 0.1, 1.0, 10.0):
-            assert _k_upper(FLAT, f, t, p, ctx=ctx) <= norm * (1.0 + 1e-12), (p, t)
+            assert k_upper_detail(ctx, t, p)[0] <= norm * (1.0 + 1e-12), (p, t)
+
+
+def _min_objective(ctx, cands, t, p):
+    """min over cands of ||f - g||_p + t ||P g||_p, taken term by term."""
+    return min(ctx.norm_diff(g, p) + t * ctx.norm_band(apply_P_spectral(FLAT, g), p)
+               for _, g in cands)
 
 
 def test_upper_monotone_in_t_with_fixed_candidates():
-    # with the candidate set frozen the objective is affine increasing in t,
-    # so the minimum over the set is nondecreasing
+    # k_upper_detail is the minimum of the objective over default_candidates
+    # at its own t; with the candidate set frozen the objective is affine
+    # increasing in t, so the minimum over the set is nondecreasing
     rng = np.random.default_rng(204)
     f = SpectralCoefficients.from_flat(FLAT, rng.uniform(-1.0, 1.0, 11))
     ctx = NormContext(FLAT, f)
-    cands = default_candidates(FLAT, f, 0.05)
+    cands = default_candidates(ctx, 0.05)
     ts = np.logspace(-3.0, 0.5, 25)
     for p in (1.0, math.inf):
-        vals = [_k_upper(FLAT, f, t, p, ctx=ctx, candidates=cands) for t in ts]
+        for t in ts:
+            own = _min_objective(ctx, default_candidates(ctx, t), t, p)
+            assert k_upper_detail(ctx, t, p)[0] == own, (p, t)
+        vals = [_min_objective(ctx, cands, t, p) for t in ts]
         assert np.min(np.diff(vals)) >= -1e-12, p
 
 
@@ -229,7 +236,7 @@ def test_lower_bound_on_eigenfunctions():
         for ell in (1, 3, 6):
             f = unit_eigen(cfg, ell, L=10)
             for n in (ell, 2 * ell, 16):
-                got = k_lower(cfg, f, n, 2)
+                got = k_lower(NormContext(cfg, f), n, 2)
                 want = 0.5 * (1.0 - eigenvalue_mu(cfg, n, ell))
                 assert abs(got - want) <= 1e-12
                 # consistency: half the operator gap never exceeds the
@@ -243,9 +250,9 @@ def test_lower_requires_resolved_band():
     coeffs = project(tf, FLAT, L)
     ctx = NormContext(FLAT, coeffs, f_fn=tf.fn, kinks=tf.kinks)
     # inside the band the estimate works
-    assert k_lower(FLAT, coeffs, L, 2, ctx=ctx) > 0.0
-    with pytest.raises(ValueError):
-        k_lower(FLAT, coeffs, L + 1, 2, ctx=ctx)
+    assert k_lower(ctx, L, 2) > 0.0
+    with pytest.raises(ValueError, match="band too small"):
+        k_lower(ctx, L + 1, 2)
 
 
 def test_norm_context_of_band_control():
@@ -298,14 +305,18 @@ def test_norm_context_computes_each_error_and_k_value_once(monkeypatch):
     ctx = NormContext.of(FLAT, get_suite("poly", FLAT)[0], 64)
     errs = [ctx.op_error(8, p) for p in (1, 2, 1, 2)]
     assert errs[:2] == errs[2:] and calls["norm_diff"] == 2
-    first = ctx.kvalues([4, 8], 2)
-    assert ctx.kvalues([8, 4], 2) == first[::-1]
-    # only the new n joins the one batched search of a later call
-    ctx.kvalues([4, 8, 16], 2)
+    first = ctx.kvalues([0.25, 0.125], 2)
+    assert ctx.kvalues([0.125, 0.25], 2) == first[::-1]
+    # only the new t joins the one batched search of a later call, and the
+    # p = 2 upper bound reads the exact value from the same cache
+    ctx.kvalues([0.25, 0.125, 1.0 / 16], 2)
     assert calls["k_exact_p2"] == [[0.25, 0.125], [1.0 / 16]]
-    k1 = ctx.kvalues([4], 1)
+    assert kfunc.k_upper_detail(ctx, 0.125, 2)[0] <= first[1]
+    assert calls["k_exact_p2"] == [[0.25, 0.125], [1.0 / 16]]
+    calls["k_upper_detail"] = 0
+    k1 = ctx.kvalues([0.25], 1)
     spent = calls["norm_diff"]  # the candidate search takes norms of its own
-    assert ctx.kvalues([4], 1) == k1 and ctx.op_error(8, 1) == errs[0]
+    assert ctx.kvalues([0.25], 1) == k1 and ctx.op_error(8, 1) == errs[0]
     assert calls["k_upper_detail"] == 1 and calls["norm_diff"] == spent
 
 
@@ -454,8 +465,53 @@ def test_bracket_container_invariant():
 def test_upper_witness_labels():
     rng = np.random.default_rng(206)
     f = SpectralCoefficients.from_flat(FLAT, rng.uniform(-1.0, 1.0, 9))
-    value, witness = k_upper_detail(FLAT, f, 0.08, 2)
+    ctx = NormContext(FLAT, f)
+    value, witness = k_upper_detail(ctx, 0.08, 2)
     assert witness == "band-optimal"
-    value1, witness1 = k_upper_detail(FLAT, f, 0.08, 1)
-    labels = {name for name, _ in default_candidates(FLAT, f, 0.08)}
+    value1, witness1 = k_upper_detail(ctx, 0.08, 1)
+    labels = {name for name, _ in default_candidates(ctx, 0.08)}
     assert witness1 in labels
+
+
+def test_k_bracket_with_the_context_of_another_function_raises():
+    # the context of [0, 0, 0, 3] once gave f a lower bound of 1.366, where
+    # f's own is 0.0946, and a misleading "invalid bracket"
+    f = SpectralCoefficients.from_flat(FLAT, [1.0, 0.5, 0.25, 0.1])
+    other = NormContext(FLAT, SpectralCoefficients.from_flat(FLAT, [0.0, 0.0, 0.0, 3.0]))
+    for p in (1, 2, math.inf):
+        with pytest.raises(ValueError, match="measures another function than f"):
+            k_bracket(FLAT, f, 4, p, ctx=other)
+    ctx = NormContext(FLAT, f)
+    with pytest.raises(ValueError, match="measures another function than f"):
+        k_bracket(WeightConfig(1, (0.5, 0.5)), f, 4, 1, ctx=ctx)
+    # an equal copy of f is the same function
+    twin = SpectralCoefficients.from_flat(FLAT, f.flat())
+    assert k_bracket(FLAT, twin, 4, 1, ctx=ctx) == k_bracket(FLAT, f, 4, 1)
+    assert k_bracket(FLAT, f, 4, 1, ctx=ctx).lower == 0.5 * ctx.op_error(4, 1)
+
+
+def test_norm_context_on_another_weight_raises_naming_both():
+    f = SpectralCoefficients.from_flat(FLAT, [1.0, 0.5, 0.25, 0.1])
+    with pytest.raises(ValueError, match=r"coefficients on the weight \(0\.0, 0\.0\) "
+                                         r"given to a norm context on \(0\.5, 0\.5\)"):
+        NormContext(WeightConfig(1, (0.5, 0.5)), f)
+    # an equal but not identical config is the same weight
+    assert NormContext(WeightConfig(1, (0.0, 0.0)), f).cfg == FLAT
+
+
+@pytest.mark.parametrize("p", [1, 2, math.inf])
+def test_norms_of_a_g_on_another_weight_or_band_raise_naming_both(p):
+    # g on another weight was measured against f's basis at p = 1 and inf,
+    # and g above f's band met a raw matmul error there
+    vals = [1.0, 0.5, 0.25, 0.1]
+    ctx = NormContext(FLAT, SpectralCoefficients.from_flat(FLAT, vals))
+    for cfg, g_vals, named in ((WeightConfig(1, (0.5, 0.5)), vals, r"\(0\.5, 0\.5\) at band 3"),
+                               (FLAT, vals + [0.05], r"\(0\.0, 0\.0\) at band 4"),
+                               (FLAT, vals[:2], r"\(0\.0, 0\.0\) at band 1")):
+        g = SpectralCoefficients.from_flat(cfg, g_vals)
+        want = r"^g on the weight %s, not f's \(0\.0, 0\.0\) at band 3$"
+        for norm in (ctx.norm_diff, ctx.norm_band):
+            with pytest.raises(ValueError, match=want % named):
+                norm(g, p)
+    own = SpectralCoefficients.from_flat(WeightConfig(1, (0.0, 0.0)), [0.5, 0.5, 0.0, 0.0])
+    assert ctx.norm_diff(own, p) > 0.0 and ctx.norm_band(own, p) > 0.0

@@ -33,7 +33,7 @@ from durrmeyer import (
     simplex_rule_2d,
     synthesize,
 )
-from durrmeyer import k_lower, operators
+from durrmeyer import NormContext, k_lower, operators
 from durrmeyer.operators import _bernstein_matrix, _bernstein_sum, _log_moments
 from durrmeyer.orthopoly import _point_matrix
 from durrmeyer.kfunc import sup_matrix
@@ -448,7 +448,7 @@ _DEGREE_CALLS = {
     "apply_durrmeyer_spectral": lambda cfg, n, c: apply_durrmeyer_spectral(cfg, n, c).flat(),
     "apply_Q": lambda cfg, n, c: apply_Q(cfg, n, c).flat(),
     "build_g_n": lambda cfg, n, c: build_g_n(cfg, n, c)[0].flat(),
-    "k_lower": lambda cfg, n, c: np.array([k_lower(cfg, c, n, 2)]),
+    "k_lower": lambda cfg, n, c: np.array([k_lower(NormContext(cfg, c), n, 2)]),
 }
 
 
@@ -466,8 +466,10 @@ def test_operators_reject_a_fractional_degree_and_a_foreign_weight(name):
     if name != "make_plan":
         # equal but not identical configs are the same weight
         assert np.array_equal(call(WeightConfig(1, (0.0, 0.0)), 3, coeffs), want)
+        # k_lower's context is the one to see the other weight
+        to = "a norm context" if name == "k_lower" else "an operator"
         with pytest.raises(ValueError, match=r"coefficients on the weight \(0\.0, 0\.0\) "
-                                             r"given to an operator on \(0\.5, 1\.5\)"):
+                                             r"given to %s on \(0\.5, 1\.5\)" % to):
             call(WeightConfig(1, (0.5, 1.5)), 4, coeffs)
 
 
