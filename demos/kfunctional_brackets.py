@@ -56,6 +56,8 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=12345)
     ap.add_argument("--out", help="optional CSV of the bracket table")
     args = ap.parse_args(argv)
+    if min(args.n) < 1:
+        ap.error("every --n must be >= 1")
 
     alphas = tuple(float(tok) for tok in args.alpha.split(","))
     cfg = WeightConfig(1, alphas)

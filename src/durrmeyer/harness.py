@@ -75,15 +75,24 @@ class CheckReport:
     rows: list = field(default_factory=list)
 
 
+def _worst(cells, lowest=True):
+    """The worst of the (score, ...) tuples cells: the lowest score, or the
+    highest with lowest=False.  Among equal scores the first in scan order
+    wins, and a NaN score is worse than every number, so a NaN cell is the
+    one reported and its row fails."""
+    sign = 1.0 if lowest else -1.0
+    return min(cells, key=lambda c: (0, 0.0) if math.isnan(c[0]) else (1, sign * c[0]))
+
+
 def _finish(check_id, grid, rows, t0):
     """The report of a check from its rows; no rows raises, so that no
     report passes without having checked anything."""
     if not rows:
         raise ValueError("%s has no rows to check on the grid %s" % (check_id, grid))
-    margins = [r.margin for r in rows if r.margin is not None]
-    worst = min(margins) if margins else 0.0
-    emps = [r.empirical_constant for r in rows if r.empirical_constant is not None]
-    empirical = max(emps) if emps else None
+    margins = [(r.margin,) for r in rows if r.margin is not None]
+    worst = _worst(margins)[0] if margins else 0.0
+    emps = [(r.empirical_constant,) for r in rows if r.empirical_constant is not None]
+    empirical = _worst(emps, lowest=False)[0] if emps else None
     return CheckReport(
         check_id=check_id,
         grid=grid,
@@ -107,8 +116,8 @@ def _stabilization(ns, sups):
     arithmetic midpoint of [min n, max n], so for a doubling ladder the top
     degree is measured against everything before it."""
     mid = (ns[0] + ns[-1]) / 2.0
-    low = max(s for n, s in zip(ns, sups) if n <= mid)
-    up = max((s for n, s in zip(ns, sups) if n > mid), default=low)
+    low = _worst([(s,) for n, s in zip(ns, sups) if n <= mid], lowest=False)[0]
+    up = _worst([(s,) for n, s in zip(ns, sups) if n > mid], lowest=False)[0]
     margin = (STABILIZATION_RATIO * low - up) / max(low, 1e-300)
     return low, up, margin
 
@@ -121,12 +130,27 @@ def _identity_row(check_id, cfg, resid, tol, rho=None, **cell):
                     empirical_constant=resid, passed=resid <= tol, **cell)
 
 
+def _strict_row(check_id, cfg, rho, margin, **cell):
+    """A strict inequality's row, passed when its margin > 0."""
+    return CheckRow(check_id, d=cfg.d, alphas=cfg.alphas, rho=rho, margin=margin,
+                    passed=margin > 0.0, **cell)
+
+
+def _bound_row(check_id, cfg, lhs, rhs, asserted=True, **cell):
+    """A suite bound lhs <= rhs.  An asserted row carries the margin
+    _rel_margin(lhs, rhs) and passes when it is >= INEQ_FLOOR; a reported
+    row carries no margin and passes."""
+    margin = _rel_margin(lhs, rhs)
+    return CheckRow(check_id, d=cfg.d, alphas=cfg.alphas, rho=cfg.rho, lhs=lhs,
+                    rhs=rhs, margin=margin if asserted else None,
+                    passed=not asserted or margin >= INEQ_FLOOR, **cell)
+
+
 def _stable_row(check_id, cfg, rho, ns, peaks):
     """A bounded-constant row from one (sup, n, where) per degree of the ladder
     ns, passed when the upper-half sup <= STABILIZATION_RATIO x the lower."""
-    sups = [s for s, _, _ in peaks]
-    low, up, margin = _stabilization(ns, sups)
-    peak, n_at, where = peaks[int(np.argmax(sups))]
+    low, up, margin = _stabilization(ns, [s for s, _, _ in peaks])
+    peak, n_at, where = _worst(peaks, lowest=False)
     return CheckRow(check_id, d=cfg.d, alphas=cfg.alphas, rho=rho, n=n_at,
                     ell_or_tau=where, lhs=up, rhs=STABILIZATION_RATIO * low,
                     margin=margin, empirical_constant=peak, passed=margin >= 0.0)
@@ -145,8 +169,10 @@ def check_lemma(lemma_id, rhos=None, n_max=None, delta=0.25, b=4.0,
     if lemma_id not in _LEMMAS:
         raise ValueError("unknown lemma id %r (one of %s)" % (lemma_id, ", ".join(LEMMA_IDS)))
     check, rho_grid, top = _LEMMAS[lemma_id]
-    return check(rho_grid if rhos is None else rhos, top if n_max is None else n_max,
-                 t0, delta=delta, b=b, seed=seed, tol=tol)
+    rhos = rho_grid if rhos is None else rhos
+    rows, grid = check(rhos, top if n_max is None else n_max, delta=delta, b=b,
+                       seed=seed, tol=tol)
+    return _finish(lemma_id, "rho in %s, %s" % (list(rhos), grid), rows, t0)
 
 
 # Bytes of one float table per block of degrees in the L1, L1-xi, EQ24 and
@@ -172,13 +198,13 @@ def _require_nonneg(rhos, what):
             raise ValueError("%s requires rho >= 0, got %g" % (what, rho))
 
 
-def _check_l1(rhos, n_max, t0, **_):
+def _check_l1(rhos, n_max, **_):
     """Strict decrease of the multiplier sequence in ell, in the log domain."""
     blocks = _degree_blocks(2, n_max)
     rows = []
     for rho in rhos:
         cfg = config_for_rho(rho)
-        worst = (math.inf, None, None, None, None)
+        cells = []
         for lo, hi in blocks:
             ns = np.arange(lo, hi + 1)
             ln = _log_nu_rows(cfg, lo, hi)
@@ -187,19 +213,15 @@ def _check_l1(rhos, n_max, t0, **_):
                              ln[:, :-1] - ln[:, 1:], math.inf)
             # row-major argmin: the first n, then the first ell, like a scan over n
             r, i = np.unravel_index(np.argmin(diffs), diffs.shape)
-            if diffs[r, i] < worst[0]:
-                worst = (float(diffs[r, i]), int(ns[r]), int(i) + 1,
-                         float(ln[r, i + 1]), float(ln[r, i]))
-        margin, n, ell, lhs, rhs = worst
-        rows.append(CheckRow("L1", d=1, alphas=cfg.alphas, rho=rho, n=n,
-                             ell_or_tau=ell, lhs=lhs, rhs=rhs, margin=margin,
-                             passed=margin > 0.0))
-    grid = "rho in %s, 2 <= n <= %d, 1 <= ell <= n-1, log-domain margins" % (
-        list(rhos), n_max)
-    return _finish("L1", grid, rows, t0)
+            cells.append((float(diffs[r, i]), int(ns[r]), int(i) + 1,
+                          float(ln[r, i + 1]), float(ln[r, i])))
+        margin, n, ell, lhs, rhs = _worst(cells)
+        rows.append(_strict_row("L1", cfg, rho, margin, n=n, ell_or_tau=ell, lhs=lhs,
+                                rhs=rhs))
+    return rows, "2 <= n <= %d, 1 <= ell <= n-1, log-domain margins" % n_max
 
 
-def _check_l1_xi(rhos, n_max, t0, **_):
+def _check_l1_xi(rhos, n_max, **_):
     """Strict decrease of the signed products (n-ell-1)! Gamma(n+ell+rho+1)
     [n - ell(ell+rho+1)], compared through signs and log magnitudes."""
 
@@ -211,7 +233,7 @@ def _check_l1_xi(rhos, n_max, t0, **_):
     low = log_gamma(np.arange(1.0, n_max))
     sums = np.arange(4.0, 2 * n_max)
     highs = [log_gamma(sums + rho + 1.0) for rho in rhos]
-    worst = [(math.inf, None, None, None, None)] * len(rhos)
+    cells = [[] for _ in rhos]
     for lo, hi in blocks:
         # the cells (n, ell), 1 <= ell <= n-1, of the block in row-major order
         ns = np.arange(lo, hi + 1)
@@ -239,17 +261,15 @@ def _check_l1_xi(rhos, n_max, t0, **_):
                                         np.where(sa > 0, both_pos,
                                                  np.where(sa < 0, both_neg, -1.0))))
             i = int(np.argmin(np.where(same_n, margins, math.inf)))
-            if margins[i] < worst[k][0]:
-                worst[k] = (float(margins[i]), int(n_cell[i]), int(ell_int[i]),
-                            float(la[i]) * float(sa[i]), float(lb[i]) * float(sb[i]))
+            cells[k].append((float(margins[i]), int(n_cell[i]), int(ell_int[i]),
+                             float(la[i]) * float(sa[i]), float(lb[i]) * float(sb[i])))
     rows = []
-    for rho, cfg, (margin, n, ell, lhs, rhs) in zip(rhos, cfgs, worst):
-        rows.append(CheckRow("L1-xi", d=1, alphas=cfg.alphas, rho=rho, n=n,
-                             ell_or_tau=ell, lhs=lhs, rhs=rhs, margin=margin,
-                             passed=margin > 0.0))
-    grid = ("rho in %s, 3 <= n <= %d, 1 <= ell <= n-2, signed log-magnitude "
-            "comparison") % (list(rhos), n_max)
-    return _finish("L1-xi", grid, rows, t0)
+    for rho, cfg, rho_cells in zip(rhos, cfgs, cells):
+        margin, n, ell, lhs, rhs = _worst(rho_cells)
+        rows.append(_strict_row("L1-xi", cfg, rho, margin, n=n, ell_or_tau=ell,
+                                lhs=lhs, rhs=rhs))
+    return rows, ("3 <= n <= %d, 1 <= ell <= n-2, signed log-magnitude "
+                  "comparison") % n_max
 
 
 def _dyadic(n_lo, n_hi):
@@ -279,7 +299,7 @@ def _ladder(which, n_max, keep=lambda n: True, cond=""):
     return ns
 
 
-def _check_sup_simple(which, rhos, n_max, t0, **_):
+def _check_sup_simple(which, rhos, n_max, **_):
     """L3: sup of ell (nu_ell - nu_{ell+1}); L4: sup of the weighted absolute
     second-difference sum.  Both pass via sup stabilization."""
     _require_nonneg(rhos, which)
@@ -299,9 +319,7 @@ def _check_sup_simple(which, rhos, n_max, t0, **_):
                 weights = np.arange(2, n, dtype=float)
                 peaks.append((float((weights * np.abs(d2)).sum()), n, None))
         rows.append(_stable_row(which, cfg, rho, ns, peaks))
-    grid = "rho in %s, n dyadic 8..%d, stabilization ratio %.2f" % (
-        list(rhos), n_max, STABILIZATION_RATIO)
-    return _finish(which, grid, rows, t0)
+    return rows, "n dyadic 8..%d, stabilization ratio %.2f" % (n_max, STABILIZATION_RATIO)
 
 
 def _open_grid(upper, count=200):
@@ -310,7 +328,7 @@ def _open_grid(upper, count=200):
     return k * (upper / (count + 1.0))
 
 
-def _check_l5(rhos, n_max, t0, **_):
+def _check_l5(rhos, n_max, **_):
     """Five bounds on the digamma difference and its derivatives, plus the
     two-sided logarithmic bracket, each on its stated tau-domain."""
 
@@ -349,27 +367,21 @@ def _check_l5(rhos, n_max, t0, **_):
                 scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-12)
                 margins = (rhs - lhs) / scale
                 i = int(np.argmin(margins))
-                rows.append(CheckRow(cid, d=1, alphas=cfg.alphas, rho=rho, n=n,
-                                     ell_or_tau=float(taus[i]),
-                                     lhs=float(lhs[i]), rhs=float(rhs[i]),
-                                     margin=float(margins[i]),
-                                     passed=bool(margins[i] > 0.0)))
+                rows.append(_strict_row(cid, cfg, rho, float(margins[i]), n=n,
+                                        ell_or_tau=float(taus[i]), lhs=float(lhs[i]),
+                                        rhs=float(rhs[i])))
             lo = np.log1p((2.0 * tau_full + rho) / (n - tau_full + 1.0))
             hi = np.log1p((2.0 * tau_full + rho) / (n - tau_full))
             scale = np.maximum(np.abs(C), 1e-12)
             m = np.minimum((C - lo) / scale, (hi - C) / scale)
             i = int(np.argmin(m))
-            rows.append(CheckRow("L5-darboux", d=1, alphas=cfg.alphas, rho=rho, n=n,
-                                 ell_or_tau=float(tau_full[i]), lhs=float(lo[i]),
-                                 rhs=float(hi[i]), margin=float(m[i]),
-                                 empirical_constant=float(C[i]),
-                                 passed=bool(m[i] > 0.0)))
-    grid = ("rho in %s, n in %s, 200-point open tau grids on each stated "
-            "domain") % (list(rhos), list(ns))
-    return _finish("L5", grid, rows, t0)
+            rows.append(_strict_row("L5-darboux", cfg, rho, float(m[i]), n=n,
+                                    ell_or_tau=float(tau_full[i]), lhs=float(lo[i]),
+                                    rhs=float(hi[i]), empirical_constant=float(C[i])))
+    return rows, "n in %s, 200-point open tau grids on each stated domain" % list(ns)
 
 
-def _check_l6(rhos, n_max, t0, delta, b, **_):
+def _check_l6(rhos, n_max, delta, b, **_):
     """Decay of the multipliers at the top of the spectrum: n^2 nu_{n,ell}
     on [delta n, n], tau |nu'| on [1, n-1], tau^2 |nu''| on [1, sqrt(bn)]."""
 
@@ -399,10 +411,9 @@ def _check_l6(rhos, n_max, t0, delta, b, **_):
             per_sub["L6b"].append((float(vals[i]), n, float(taus[i])))
         rows.extend(_stable_row(cid, cfg, rho, ns, peaks)
                     for cid, peaks in per_sub.items())
-    grid = ("rho in %s, n dyadic %d..%d, delta=%g, b=%g, 200-point tau grids, "
-            "stabilization ratio %.2f") % (list(rhos), ns[0], ns[-1], delta, b,
-                                           STABILIZATION_RATIO)
-    return _finish("L6", grid, rows, t0)
+    return rows, ("n dyadic %d..%d, delta=%g, b=%g, 200-point tau grids, "
+                  "stabilization ratio %.2f") % (ns[0], ns[-1], delta, b,
+                                                 STABILIZATION_RATIO)
 
 
 # Node count of each half of the HAT rule.  A fixed Gauss rule suffices: on
@@ -428,7 +439,7 @@ def hat_integrals(cfg, n, ells):
     return nu_second(cfg, n, ells[:, None] + x) @ w
 
 
-def _check_hat(rhos, n_max, t0, **_):
+def _check_hat(rhos, n_max, **_):
     """Second differences of the multipliers as hat-weighted integrals of the
     second derivative of the continuous extension."""
     _require_nonneg(rhos, "HAT")
@@ -447,10 +458,8 @@ def _check_hat(rhos, n_max, t0, **_):
             rows.append(_identity_row("HAT", cfg, float(resids[i]), tol, rho=rho, n=n,
                                       ell_or_tau=int(ells[i]), lhs=float(lhs[i]),
                                       rhs=float(rhs[i])))
-    grid = ("rho in %s, n in [4,8,16,32,64], representative ell per n, "
-            "%d-node Gauss-Legendre rule per hat half, tolerance %g") % (
-                list(rhos), HAT_NODES, tol)
-    return _finish("HAT", grid, rows, t0)
+    return rows, ("n in [4,8,16,32,64], representative ell per n, %d-node "
+                  "Gauss-Legendre rule per hat half, tolerance %g") % (HAT_NODES, tol)
 
 
 def _eq24_combo_rows(nu):
@@ -473,13 +482,13 @@ def _eq24_combo_rows(nu):
     return tail - (j1 - 1.0) * tail_w
 
 
-def _check_eq24(rhos, n_max, t0, seed, tol, **_):
+def _check_eq24(rhos, n_max, seed, tol, **_):
     blocks = _degree_blocks(2, n_max)
     rng = np.random.default_rng(seed)
     rows = []
     for rho in rhos:
         cfg = config_for_rho(rho)
-        worst = (-math.inf, None, None, None)
+        cells = []
         for lo, hi in blocks:
             ns = np.arange(lo, hi + 1)
             nu = _nu_rows(cfg, lo, hi)
@@ -495,24 +504,21 @@ def _check_eq24(rhos, n_max, t0, seed, tol, **_):
             rhs = np.max(np.abs(rhs_vec), axis=1)
             resids = np.max(np.abs(lhs_vec - rhs_vec), axis=1) / (lhs + 1e-300)
             r = int(np.argmax(resids))
-            if resids[r] > worst[0]:
-                worst = (float(resids[r]), int(ns[r]), float(lhs[r]), float(rhs[r]))
-        resid, n, lhs, rhs = worst
+            cells.append((float(resids[r]), int(ns[r]), float(lhs[r]), float(rhs[r])))
+        resid, n, lhs, rhs = _worst(cells, lowest=False)
         rows.append(_identity_row("EQ24", cfg, resid, tol, rho=rho, n=n, lhs=lhs,
                                   rhs=rhs))
-    grid = "rho in %s, 2 <= n <= %d, random coefficient vectors, tol %g" % (
-        list(rhos), n_max, tol)
-    return _finish("EQ24", grid, rows, t0)
+    return rows, "2 <= n <= %d, random coefficient vectors, tol %g" % (n_max, tol)
 
 
-def _check_mult_id(rhos, k_max, t0, tol, **_):
+def _check_mult_id(rhos, k_max, tol, **_):
     """Successive-degree eigenvalue identity, in ratio form so that deep
     underflow in the eigenvalues themselves cannot contaminate it."""
     blocks = _degree_blocks(2, k_max, "k")
     rows = []
     for rho in rhos:
         cfg = config_for_rho(rho)
-        worst = (-math.inf, None, None)
+        cells = []
         for lo, hi in blocks:
             # rows k - 1 and k of one table, at ell = 1..hi-1
             logmu = _log_mu_rows(cfg, lo - 1, hi)[:, 1:hi]
@@ -524,14 +530,11 @@ def _check_mult_id(rhos, k_max, t0, tol, **_):
                                            / (ks * (ks + rho))), -math.inf)
             # row-major argmax: the first k, then the first ell
             r, i = np.unravel_index(np.argmax(resid), resid.shape)
-            if resid[r, i] > worst[0]:
-                worst = (float(resid[r, i]), lo + int(r), int(i) + 1)
-        resid, k, ell = worst
+            cells.append((float(resid[r, i]), lo + int(r), int(i) + 1))
+        resid, k, ell = _worst(cells, lowest=False)
         rows.append(_identity_row("MULT-ID", cfg, resid, tol, rho=rho, n=k,
                                   ell_or_tau=ell))
-    grid = "rho in %s, 2 <= k <= %d, 1 <= ell <= k-1, ratio form, tol %g" % (
-        list(rhos), k_max, tol)
-    return _finish("MULT-ID", grid, rows, t0)
+    return rows, "2 <= k <= %d, 1 <= ell <= k-1, ratio form, tol %g" % (k_max, tol)
 
 
 # id: (check, default rho grid, default top degree), in report order
@@ -566,13 +569,10 @@ def _by_n(row):
 def _direct_rows(ctx, f, p, n, kval):
     lhs = ctx.op_error(n, p)
     rhs = 2.0 * kval
-    margin = _rel_margin(lhs, rhs)
     # observed error-to-K ratio; the estimate asserts it never exceeds 2
     ratio = lhs / max(0.5 * rhs, 1e-300) if rhs > 0.0 else 0.0
-    cfg = ctx.cfg
-    return [CheckRow("DIRECT", d=cfg.d, alphas=cfg.alphas, rho=cfg.rho, p=p, n=n,
-                     f_id=f.f_id, lhs=lhs, rhs=rhs, margin=margin,
-                     empirical_constant=ratio, passed=margin >= INEQ_FLOOR)]
+    return [_bound_row("DIRECT", ctx.cfg, lhs, rhs, p=p, n=n, f_id=f.f_id,
+                       empirical_constant=ratio)]
 
 
 def _top_degree(check_id, ns):
@@ -588,11 +588,10 @@ _THEOREM1_NS = (4, 8, 16, 32)
 
 
 def run_direct(cfg=None, ps=_SUITE_PS, ns=_DIRECT_NS, suite_name="full",
-               seed=DEFAULT_SEED, band=None) -> CheckReport:
-    """Direct estimate over the suite; the band defaults to max(64, max ns)."""
+               seed=DEFAULT_SEED) -> CheckReport:
+    """Direct estimate over the suite, at the band max(64, max ns)."""
     cfg = cfg if cfg is not None else config_for_rho(0.0)
-    band = band if band is not None else max(64, _top_degree("DIRECT", ns))
-    return _suite_checks(cfg, suite_name, seed, band, {"DIRECT": (ps, ns)})[0]
+    return _suite_checks(cfg, suite_name, seed, {"DIRECT": (ps, ns)})[0]
 
 
 def _theorem1_rows(ctx, f, p, n, lhs):
@@ -606,27 +605,21 @@ def _theorem1_rows(ctx, f, p, n, lhs):
     bounds = [("THM1", 4.0 + 2.0 * rho / n)]
     if n >= abs(rho):
         bounds.append(("THM1-R6", 6.0))
-    asserted = p == 2
     out = []
     for check_id, lead in bounds:
         rhs = lead * (errs[n] + errs[2 * n]) + tail
-        margin = _rel_margin(lhs, rhs)
-        out.append(CheckRow(check_id, d=cfg.d, alphas=cfg.alphas, rho=rho, p=p,
-                            n=n, f_id=f.f_id, lhs=lhs, rhs=rhs,
-                            margin=margin if asserted else None,
-                            empirical_constant=margin,
-                            passed=not asserted or margin >= INEQ_FLOOR))
+        out.append(_bound_row(check_id, cfg, lhs, rhs, p == 2, p=p, n=n, f_id=f.f_id,
+                              empirical_constant=_rel_margin(lhs, rhs)))
     return out
 
 
 def run_theorem1(cfg=None, ps=_SUITE_PS, ns=_THEOREM1_NS, suite_name="full",
-                 seed=DEFAULT_SEED, band=None) -> CheckReport:
+                 seed=DEFAULT_SEED) -> CheckReport:
     """Converse estimate: K at scale 1/n against the three-term error bound,
     asserted at p = 2 where K is computed exactly, reported conservatively
-    (upper-bound K) at other p.  The band defaults to max(64, 2 max ns)."""
+    (upper-bound K) at other p.  The band is max(64, 2 max ns)."""
     cfg = cfg if cfg is not None else config_for_rho(0.0)
-    band = band if band is not None else max(64, 2 * _top_degree("THM1", ns))
-    return _suite_checks(cfg, suite_name, seed, band, {"THM1": (ps, ns)})[0]
+    return _suite_checks(cfg, suite_name, seed, {"THM1": (ps, ns)})[0]
 
 
 def _proposition_rows(ctx, f, p, n, kval, sigma):
@@ -634,16 +627,13 @@ def _proposition_rows(ctx, f, p, n, kval, sigma):
     against 3 err at p = 2, reported against (1 + 2 sigma[p]) err at other
     p, sigma[p] being the empirical partial-sum norm bound."""
     err = ctx.op_error(n, p)
-    row = CheckRow("PROP", d=1, alphas=ctx.cfg.alphas, rho=ctx.cfg.rho, p=p, n=n,
-                   f_id=f.f_id, lhs=kval, rhs=err)
+    cfg = ctx.cfg
     if err < 1e-14 and kval < 1e-14:
-        return [row]
-    row.rhs = (3.0 if p == 2 else 1.0 + 2.0 * sigma[p]) * err
-    row.empirical_constant = kval / max(err, 1e-300)
-    if p == 2:
-        row.margin = _rel_margin(kval, row.rhs)
-        row.passed = row.margin >= INEQ_FLOOR
-    return [row]
+        return [CheckRow("PROP", d=cfg.d, alphas=cfg.alphas, rho=cfg.rho, p=p, n=n,
+                         f_id=f.f_id, lhs=kval, rhs=err)]
+    rhs = (3.0 if p == 2 else 1.0 + 2.0 * sigma[p]) * err
+    return [_bound_row("PROP", cfg, kval, rhs, p == 2, p=p, n=n, f_id=f.f_id,
+                       empirical_constant=kval / max(err, 1e-300))]
 
 
 def run_proposition(ps=(2,), ns=(8, 16, 32, 64, 128), suite_name="full",
@@ -653,13 +643,13 @@ def run_proposition(ps=(2,), ns=(8, 16, 32, 64, 128), suite_name="full",
     against 3; at other p in (4/3, 4) the ratio is reported against an
     empirical partial-sum norm bound.  The band is max(144, max ns + 16)."""
     cfg = WeightConfig(1, (0.0, 0.0))
-    band = max(144, _top_degree("PROP", ns) + 16)
+    _top_degree("PROP", ns)  # an empty ns raises before sigma is estimated
     for p in ps:
         if not (p == 2 or 4.0 / 3.0 < p < 4.0):
             raise ValueError("proposition requires 4/3 < p < 4, got %s" % (p,))
     sigma = {p: max(estimate_operator_norm("partial_sum", p, n, cfg=cfg)
                     for n in (8, 16, 32)) for p in ps if p != 2}
-    return _suite_checks(cfg, suite_name, seed, band, {"PROP": (ps, ns, sigma)})[0]
+    return _suite_checks(cfg, suite_name, seed, {"PROP": (ps, ns, sigma)})[0]
 
 
 def _bracket_rows(check_id, ctx, f, ps, ns):
@@ -686,42 +676,43 @@ def _bracket_rows(check_id, ctx, f, ps, ns):
 
 def verify_bracket(ns=(4, 16, 64), seed=DEFAULT_SEED) -> CheckReport:
     """Ordering of the three K estimates at p = 2 over the full suite."""
-    # k_lower applies every degree n exactly
-    band = max(64, _top_degree("KBRACKET", ns))
-    return _suite_checks(WeightConfig(1, (0.0, 0.0)), "full", seed, band,
+    return _suite_checks(WeightConfig(1, (0.0, 0.0)), "full", seed,
                          {"KBRACKET": ((2,), ns)})[0]
 
 
 def run_kfunc(cfg, ps, ns, suite_name="full", seed=DEFAULT_SEED) -> CheckReport:
     """K-functional brackets over a suite: lhs = lower bound, rhs = upper
     bound, empirical_constant = exact value at p = 2."""
-    return _suite_checks(cfg, suite_name, seed, max(64, _top_degree("KFUNC", ns)),
-                         {"KFUNC": (ps, ns)})[0]
+    return _suite_checks(cfg, suite_name, seed, {"KFUNC": (ps, ns)})[0]
 
 
-# grid text, filled from suite, ps (as strings), p_values, ns and seed, and
-# the builder (ctx, f, ps, ns, *extra) -> rows of one function, of each suite check
+# grid text, filled from suite, ps (as strings), p_values, ns and seed; the
+# builder (ctx, f, ps, ns, *extra) -> rows of one function; and the band the
+# check needs for its top degree m, of each suite check.  k_lower applies
+# every degree n exactly, and THM1 reads the operator error up to degree 2n.
 _SUITE_CHECKS = {
     "DIRECT": ("suite=%(suite)s, p in %(ps)s, n in %(ns)s, seed=%(seed)d",
-               _by_n(_direct_rows)),
+               _by_n(_direct_rows), lambda m: max(64, m)),
     "THM1": ("suite=%(suite)s, p in %(ps)s (asserted at p=2 only), n in %(ns)s, "
-             "seed=%(seed)d", _by_n(_theorem1_rows)),
+             "seed=%(seed)d", _by_n(_theorem1_rows), lambda m: max(64, 2 * m)),
     "PROP": ("d=1 unweighted, suite=%(suite)s, p in %(ps)s (asserted at p=2 with "
-             "bound 3), n in %(ns)s, seed=%(seed)d", _by_n(_proposition_rows)),
+             "bound 3), n in %(ns)s, seed=%(seed)d", _by_n(_proposition_rows),
+             lambda m: max(144, m + 16)),
     "KBRACKET": ("full suite, p=2, n in %(ns)s, seed=%(seed)d",
-                 functools.partial(_bracket_rows, "KBRACKET")),
+                 functools.partial(_bracket_rows, "KBRACKET"), lambda m: max(64, m)),
     "KFUNC": ("suite=%(suite)s, p in %(p_values)s, n in %(ns)s, seed=%(seed)d",
-              functools.partial(_bracket_rows, "KFUNC")),
+              functools.partial(_bracket_rows, "KFUNC"), lambda m: max(64, m)),
 }
 
 
-def _suite_checks(cfg, suite_name, seed, band, specs):
+def _suite_checks(cfg, suite_name, seed, specs):
     """One report per entry of specs, {check_id: (ps, ns, *extra)}, from one
-    pass over the suite: each function's context is built once, serves every
-    check, and is freed before the next one is built.  A report's runtime
-    is the time spent on its own rows; context builds count to the first."""
-    if "THM1" in specs and band < 2 * max(specs["THM1"][1]):
-        raise ValueError("band must cover degree 2n")
+    pass over the suite at the widest band its checks need: each function's
+    context is built once, serves every check, and is freed before the next
+    one is built.  A report's runtime is the time spent on its own rows;
+    context builds count to the first."""
+    band = max(_SUITE_CHECKS[cid][2](_top_degree(cid, args[1]))
+               for cid, args in specs.items())
     rows = {cid: [] for cid in specs}
     spent = dict.fromkeys(specs, 0.0)
     for f in get_suite(suite_name, cfg, seed):
@@ -828,7 +819,7 @@ def verify_eigenstructure(tol=1e-8) -> CheckReport:
     ]
     rows = []
     for cfg, n_max, ell_max in cases:
-        worst = (-math.inf, None, None)
+        cells = []
         # the table basis_eval reads phi_{ell,j} from, evaluated once per plan
         basis = get_basis(cfg, max(ell_max, default_band(cfg)))
         for n in range(2, n_max + 1):
@@ -840,10 +831,8 @@ def verify_eigenstructure(tol=1e-8) -> CheckReport:
                     phi = phis[:, basis.flat_index(ell, j)]
                     got = apply_durrmeyer(plan, lambda x, v=phi: v, nodes)
                     want = eigenvalue_mu(cfg, n, ell) * phi
-                    err = float(np.max(np.abs(got - want)))
-                    if err > worst[0]:
-                        worst = (err, n, ell)
-        err, n, ell = worst
+                    cells.append((float(np.max(np.abs(got - want))), n, ell))
+        err, n, ell = _worst(cells, lowest=False)
         rows.append(_identity_row("EIGSTRUCT", cfg, err, tol, n=n, ell_or_tau=ell))
     grid = ("three interval weights n <= 40 ell <= 10; simplex unweighted "
             "n <= 12 ell <= 6; tolerance %g") % tol
@@ -870,14 +859,12 @@ def _identity_scan(check_id, n_lo, n_max, tol, seed, sides):
     rng = np.random.default_rng(seed)
     rows = []
     for cfg in _STRUCT_CFGS:
-        worst = (-math.inf, None)
+        cells = []
         for n in range(n_lo, n_max + 1):
             lhs, rhs = sides(cfg, n, rng)
             denom = max(np.max(np.abs(lhs.flat())), np.max(np.abs(rhs.flat())), 1e-300)
-            resid = float(np.max(np.abs((lhs - rhs).flat()))) / denom
-            if resid > worst[0]:
-                worst = (resid, n)
-        resid, n = worst
+            cells.append((float(np.max(np.abs((lhs - rhs).flat()))) / denom, n))
+        resid, n = _worst(cells, lowest=False)
         rows.append(_identity_row(check_id, cfg, resid, tol, n=n))
     grid = "three weights, %d <= n <= %d, random band-limited f, tol %g" % (
         n_lo, n_max, tol)
@@ -912,17 +899,15 @@ def verify_kfunc_closed_form(tol=1e-8) -> CheckReport:
     rows = []
     for rho in (0.0, 1.0, 2.5):
         cfg = config_for_rho(rho)
-        worst = (-math.inf, None, None)
+        cells = []
         for ell in range(1, 21):
             flat = np.zeros(ell + 1)
             flat[ell] = 1.0
             f = SpectralCoefficients.from_flat(cfg, flat)
             got = kfunc.k_exact_p2(cfg, f, ts)
             errs = np.abs(got - np.minimum(1.0, ts * ell * (ell + rho)))
-            i = int(np.argmax(errs))
-            if errs[i] > worst[0]:
-                worst = (float(errs[i]), ell, float(ts[i]))
-        err, ell, t = worst
+            cells.append((float(np.max(errs)), ell))
+        err, ell = _worst(cells, lowest=False)
         rows.append(_identity_row("KCLOSED", cfg, err, tol, rho=rho, ell_or_tau=ell))
     grid = "rho in [0, 1, 2.5], ell <= 20, 40 log-spaced t in [1e-4, 10], tol %g" % tol
     return _finish("KCLOSED", grid, rows, t0)
@@ -931,12 +916,13 @@ def verify_kfunc_closed_form(tol=1e-8) -> CheckReport:
 def verify_cesaro_contraction(n_max=32, tol=1e-12, seed=DEFAULT_SEED) -> CheckReport:
     """Cesaro means never increase the L2 norm, and the factor form agrees
     with the average of partial sums."""
+    if n_max < 0:
+        raise ValueError("CESARO needs n_max >= 0, got %d" % n_max)
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     rows = []
     for cfg in (WeightConfig(1, (0.0, 0.0)), config_for_rho(2.5)):
-        worst_margin, worst_equiv = math.inf, -math.inf
-        at_n = None
+        margins, equivs = [], []
         for n in range(0, n_max + 1):
             f = _random_coeffs(cfg, 32, rng)
             s = cesaro_mean(f, n)
@@ -945,10 +931,10 @@ def verify_cesaro_contraction(n_max=32, tol=1e-12, seed=DEFAULT_SEED) -> CheckRe
             for m in range(n + 1):
                 avg = avg + partial_sum(f, m)
             avg = avg * (1.0 / (n + 1))
-            equiv = float(np.max(np.abs((s - avg).flat())))
-            if margin < worst_margin:
-                worst_margin, at_n = margin, n
-            worst_equiv = max(worst_equiv, equiv)
+            margins.append((margin, n))
+            equivs.append((float(np.max(np.abs((s - avg).flat()))),))
+        worst_margin, at_n = _worst(margins)
+        worst_equiv = _worst(equivs, lowest=False)[0]
         rows.append(CheckRow("CESARO", d=cfg.d, alphas=cfg.alphas, rho=cfg.rho,
                              n=at_n, margin=worst_margin,
                              empirical_constant=worst_equiv,
@@ -1037,7 +1023,7 @@ def report_all(seed=DEFAULT_SEED, delta=0.25, b=4.0, tol_identity=None,
     this process may use two CPUs; the reports are the same either way."""
     def suite_half():
         # DIRECT and THM1 share one context per suite function
-        return [*_suite_checks(config_for_rho(0.0), "full", seed, 64,
+        return [*_suite_checks(config_for_rho(0.0), "full", seed,
                                {"DIRECT": (_SUITE_PS, _DIRECT_NS),
                                 "THM1": (_SUITE_PS, _THEOREM1_NS)}),
                 run_proposition(seed=seed), verify_bracket(seed=seed)]

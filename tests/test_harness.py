@@ -427,12 +427,13 @@ def _bits(value):
 
 
 def test_shared_suite_pass_matches_standalone_runs_bitwise():
+    # both checks derive band 64 from these degrees, alone and together
     cfg = config_for_rho(0.0)
     ps, direct_ns, thm1_ns = (1, 2, math.inf), (4, 8, 16), (4, 8)
-    shared = _suite_checks(cfg, "smoke", 7, 32, {"DIRECT": (ps, direct_ns),
-                                                "THM1": (ps, thm1_ns)})
-    alone = [run_direct(cfg, ps, direct_ns, "smoke", seed=7, band=32),
-             run_theorem1(cfg, ps, thm1_ns, "smoke", seed=7, band=32)]
+    shared = _suite_checks(cfg, "smoke", 7, {"DIRECT": (ps, direct_ns),
+                                             "THM1": (ps, thm1_ns)})
+    alone = [run_direct(cfg, ps, direct_ns, "smoke", seed=7),
+             run_theorem1(cfg, ps, thm1_ns, "smoke", seed=7)]
     for got, want in zip(shared, alone):
         assert (got.check_id, got.grid, got.passed) == (want.check_id, want.grid, want.passed)
         assert _bits(got.worst_margin) == _bits(want.worst_margin)
@@ -441,7 +442,7 @@ def test_shared_suite_pass_matches_standalone_runs_bitwise():
             assert [_bits(v) for v in dataclasses.astuple(a)] == \
                 [_bits(v) for v in dataclasses.astuple(b)]
     # the memoized errors and K values against direct computations
-    fresh = {f.f_id: kfunc.NormContext.of(cfg, f, 32) for f in get_suite("smoke", cfg, 7)}
+    fresh = {f.f_id: kfunc.NormContext.of(cfg, f, 64) for f in get_suite("smoke", cfg, 7)}
     for row in shared[0].rows:
         ctx, t = fresh[row.f_id], 1.0 / row.n
         err = ctx.norm_diff(apply_durrmeyer_spectral(cfg, row.n, ctx.coeffs), row.p)
@@ -465,9 +466,9 @@ def test_suite_pass_is_identical_with_cold_and_warm_caches(monkeypatch):
     cfg = config_for_rho(0.5)
     ps, ns = (1, 2, math.inf), (4, 8)
     specs = {"DIRECT": (ps, ns), "THM1": (ps, ns)}
-    cold = _suite_checks(cfg, "smoke", 11, 16, specs)
+    cold = _suite_checks(cfg, "smoke", 11, specs)
     assert orthopoly._block_layout.cache_info().hits > 0
-    warm = _suite_checks(cfg, "smoke", 11, 16, specs)
+    warm = _suite_checks(cfg, "smoke", 11, specs)
     for a_report, b_report in zip(cold, warm):
         assert len(a_report.rows) == len(b_report.rows) > 0
         for a, b in zip(a_report.rows, b_report.rows):
